@@ -5,7 +5,9 @@
 /// property the paper's end-to-end comparison charges a transpose for), so
 /// both layouts are representable.
 
+#include <cmath>
 #include <span>
+#include <stdexcept>
 
 #include "gpusim/device_array.hpp"
 #include "sparse/csr.hpp"
@@ -46,8 +48,13 @@ class DenseMatrix {
 
   void fill(value_t v) { data_.fill(v); }
 
-  /// Max absolute element-wise difference, layout-agnostic.
+  /// Max absolute element-wise difference, layout-agnostic. Throws
+  /// std::invalid_argument when the shapes differ. Not a bitwise check: a
+  /// NaN on either side is skipped and +0 equals -0.
   double max_abs_diff(const DenseMatrix& o) const {
+    if (o.rows_ != rows_ || o.cols_ != cols_) {
+      throw std::invalid_argument("DenseMatrix::max_abs_diff: shapes differ");
+    }
     double m = 0.0;
     for (index_t i = 0; i < rows_; ++i) {
       for (index_t j = 0; j < cols_; ++j) {

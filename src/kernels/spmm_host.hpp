@@ -1,8 +1,20 @@
 #pragma once
 /// \file spmm_host.hpp
 /// Host (CPU) SpMM: the sequential gold reference used by tests, and an
-/// OpenMP-parallel version used for fast functional execution when only
-/// values (not device metrics) are needed — e.g. inside GNN training.
+/// OpenMP row-parallel version for computing values without device
+/// metrics (`gespmm::spmm`, `SpmmPlan::run`, the serving engine). GNN
+/// training does not use it; `gnn::aggregate_forward` has its own loop.
+///
+/// For row-major B and C the parallel version is a column-tiled fold, the
+/// host form of GE-SpMM's two ideas. Each row's (colind, val) is walked
+/// once per tile of 8 output columns and every loaded nonzero serves the
+/// whole tile (Coalesced Row Caching). The tile accumulates in a
+/// fixed-size local array whose lanes each own one output column for the
+/// whole walk (Coarse-grained Warp Merging); GCC vectorizes it at -O2.
+/// Every output element still folds its row's nonzeros in CSR order from
+/// `init()` through `finalize()`, so all four reductions are bitwise
+/// identical to the reference. Column-major operands keep a per-element
+/// loop.
 
 #include "kernels/dense.hpp"
 #include "kernels/semiring.hpp"
@@ -28,8 +40,9 @@ void spmm_host_reference(const sparse::Csr& a, const DenseMatrix& b, DenseMatrix
   }
 }
 
-/// OpenMP-parallel host SpMM (same results; row-parallel so reduction
-/// order within a row is identical to the reference).
+/// OpenMP-parallel host SpMM, bitwise identical to the reference: rows
+/// split across threads and every output element folds in the
+/// reference's order. C must be rows x N.
 void spmm_host_parallel(const sparse::Csr& a, const DenseMatrix& b, DenseMatrix& c,
                         ReduceKind kind = ReduceKind::Sum);
 

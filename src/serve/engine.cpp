@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "kernels/spmm_host.hpp"
@@ -610,6 +611,24 @@ void Engine::worker_loop() {
 
 namespace {
 
+/// First element of row i. Every matrix the engine copies between is
+/// row-major: submit rejects any other B, and the engine allocates its
+/// outputs row-major.
+value_t* row_ptr(DenseMatrix& m, index_t i) { return m.device().data() + m.offset(i, 0); }
+const value_t* row_ptr(const DenseMatrix& m, index_t i) {
+  return m.device().data() + m.offset(i, 0);
+}
+
+/// Copy `width` columns of every row of `src`, starting at column
+/// `src_col`, into `dst` at column `dst_col`: one memcpy per row.
+void copy_columns(const DenseMatrix& src, index_t src_col, DenseMatrix& dst,
+                  index_t dst_col, index_t width) {
+  const std::size_t bytes = static_cast<std::size_t>(width) * sizeof(value_t);
+  for (index_t i = 0; i < src.rows(); ++i) {
+    std::memcpy(row_ptr(dst, i) + dst_col, row_ptr(src, i) + src_col, bytes);
+  }
+}
+
 /// Column-wise coalesce of a batch's feature matrices:
 /// B_all = [B_1 | B_2 | ...]. Returns a pointer into `storage` (or the
 /// single request's own matrix): column independence of SpMM makes the
@@ -621,15 +640,21 @@ const DenseMatrix* coalesce_features(
   *storage = DenseMatrix(b_rows, total_n);
   index_t col0 = 0;
   for (const auto& r : batch) {
-    const index_t n_r = r->b.cols();
-    for (index_t i = 0; i < b_rows; ++i) {
-      for (index_t j = 0; j < n_r; ++j) {
-        storage->at(i, col0 + j) = r->b.at(i, j);
-      }
-    }
-    col0 += n_r;
+    copy_columns(r->b, 0, *storage, col0, r->b.cols());
+    col0 += r->b.cols();
   }
   return storage;
+}
+
+/// One request's columns [col0, col0 + width) of the batch output. A
+/// single-request batch's output is exactly its result, so it moves out
+/// instead of being copied.
+DenseMatrix split_result(DenseMatrix& c_all, std::size_t batch_size, index_t col0,
+                         index_t width) {
+  if (batch_size == 1) return std::move(c_all);
+  DenseMatrix c(c_all.rows(), width);
+  copy_columns(c_all, col0, c, 0, width);
+  return c;
 }
 
 }  // namespace
@@ -671,10 +696,10 @@ void Engine::execute_batch(std::vector<std::shared_ptr<detail::RequestState>> ba
     DenseMatrix c_patch(patch.rows, total_n);
     kernels::spmm_host_parallel(patch, *b_all, c_patch, reduce);
     const std::vector<index_t>& prows = ov->rows();
+    const std::size_t row_bytes = static_cast<std::size_t>(total_n) * sizeof(value_t);
     for (index_t i = 0; i < patch.rows; ++i) {
-      for (index_t j = 0; j < total_n; ++j) {
-        c_all.at(prows[static_cast<std::size_t>(i)], j) = c_patch.at(i, j);
-      }
+      std::memcpy(row_ptr(c_all, prows[static_cast<std::size_t>(i)]), row_ptr(c_patch, i),
+                  row_bytes);
     }
   }
 
@@ -719,12 +744,7 @@ void Engine::execute_batch(std::vector<std::shared_ptr<detail::RequestState>> ba
   for (const auto& r : batch) {
     const index_t n_r = r->b.cols();
     RequestResult res;
-    res.c = DenseMatrix(a.rows, n_r);
-    for (index_t i = 0; i < a.rows; ++i) {
-      for (index_t j = 0; j < n_r; ++j) {
-        res.c.at(i, j) = c_all.at(i, col0 + j);
-      }
-    }
+    res.c = split_result(c_all, batch.size(), col0, n_r);
     col0 += n_r;
     res.status = RequestStatus::Ok;
     res.priority = r->priority;
@@ -780,16 +800,13 @@ void Engine::execute_sharded_batch(
       steps0 = lease->steps;
     }
 
-    // Merge: the shard's rows land directly in their slice of the full
-    // output. Row-parallel SpMM makes this bitwise identical to the
+    // Merge: the shard's rows are one contiguous block of the row-major
+    // full output. Row-parallel SpMM makes this bitwise identical to the
     // unsharded kernel — same per-row accumulation order, different host.
     DenseMatrix c_shard(shard.rows(), total_n);
     kernels::spmm_host_parallel(shard.csr, *b_all, c_shard, reduce);
-    for (index_t i = 0; i < shard.rows(); ++i) {
-      for (index_t j = 0; j < total_n; ++j) {
-        c_all.at(shard.row_begin + i, j) = c_shard.at(i, j);
-      }
-    }
+    std::memcpy(row_ptr(c_all, shard.row_begin), c_shard.device().data(),
+                c_shard.size() * sizeof(value_t));
 
     const double halo_bytes = static_cast<double>(shard.halo_cols) *
                               static_cast<double>(total_n) * sizeof(value_t);
@@ -848,12 +865,7 @@ void Engine::execute_sharded_batch(
   for (const auto& r : batch) {
     const index_t n_r = r->b.cols();
     RequestResult res;
-    res.c = DenseMatrix(a.rows, n_r);
-    for (index_t i = 0; i < a.rows; ++i) {
-      for (index_t j = 0; j < n_r; ++j) {
-        res.c.at(i, j) = c_all.at(i, col0 + j);
-      }
-    }
+    res.c = split_result(c_all, batch.size(), col0, n_r);
     col0 += n_r;
     res.status = RequestStatus::Ok;
     res.priority = r->priority;

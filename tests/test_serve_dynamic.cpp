@@ -2,8 +2,9 @@
 /// versioning, targeted plan invalidation, compaction, sharded
 /// touched-slice re-planning and model rebinding — the dynamic-graph
 /// contract of Engine::apply_update. The load-bearing property throughout:
-/// update-in-place outputs are bitwise identical to re-registering the
-/// materialized (compacted) CSR from scratch.
+/// update-in-place outputs are bitwise identical to the sequential
+/// reference over the materialized (compacted) CSR, which is what
+/// re-registering it from scratch serves.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +26,8 @@ using serve::GraphId;
 using serve::ServeOptions;
 using serve::Ticket;
 using serve::UpdateReport;
+using testutil::bitwise_equal;
+using testutil::reference_spmm;
 
 ServeOptions dynamic_opts() {
   ServeOptions opt;
@@ -39,17 +42,6 @@ DenseMatrix features(index_t rows, index_t cols, std::uint64_t seed) {
   DenseMatrix b(rows, cols);
   kernels::fill_random(b, seed);
   return b;
-}
-
-/// Serve one Sum request for `b` against a freshly registered `a` on a
-/// clean engine — the from-scratch re-registration baseline every bitwise
-/// assertion compares against.
-DenseMatrix serve_fresh(const Csr& a, const DenseMatrix& b) {
-  Engine eng(dynamic_opts());
-  const GraphId id = eng.register_graph(a);
-  Ticket t = eng.submit(id, b);
-  eng.shutdown();
-  return t.wait().c;
 }
 
 /// Independent delta reference: (row, col) -> value map of a CSR with a
@@ -272,7 +264,7 @@ TEST(EngineDynamic, UpdateInPlaceIsBitwiseIdenticalToReregistration) {
   Engine eng(dynamic_opts());
   const GraphId id = eng.register_graph(base);
   eng.start();
-  EXPECT_EQ(eng.submit(id, b).wait().c.max_abs_diff(serve_fresh(base, b)), 0.0);
+  EXPECT_TRUE(bitwise_equal(eng.submit(id, b).wait().c, reference_spmm(base, b)));
 
   EdgeBatch batch;
   batch.inserts = {{0, 5, 2.0f}, {17, 3, -1.0f}, {199, 0, 0.25f}};
@@ -291,7 +283,7 @@ TEST(EngineDynamic, UpdateInPlaceIsBitwiseIdenticalToReregistration) {
   const std::shared_ptr<const Csr> eff = eng.graph(id);
   EXPECT_EQ(*eff, reference_csr(edges, base.rows, base.cols));
   const DenseMatrix got = eng.submit(id, b).wait().c;
-  EXPECT_EQ(got.max_abs_diff(serve_fresh(*eff, b)), 0.0);
+  EXPECT_TRUE(bitwise_equal(got, reference_spmm(*eff, b)));
 
   // Versioned identity: the fingerprint bumped, plan keys rolled forward,
   // and the old generation's plan was erased targeted.
@@ -324,9 +316,7 @@ TEST(EngineDynamic, NonSumReductionsRideTheOverlayToo) {
   eng.shutdown();
 
   const std::shared_ptr<const Csr> eff = eng.graph(id);
-  DenseMatrix want(2, 8);
-  kernels::spmm_host_parallel(*eff, b, want, kernels::ReduceKind::Max);
-  EXPECT_EQ(t.wait().c.max_abs_diff(want), 0.0);
+  EXPECT_TRUE(bitwise_equal(t.wait().c, reference_spmm(*eff, b, kernels::ReduceKind::Max)));
 }
 
 TEST(EngineDynamic, CompactionFoldsOverlayAndRefreshesStructure) {
@@ -377,7 +367,7 @@ TEST(EngineDynamic, CompactionFoldsOverlayAndRefreshesStructure) {
   const DenseMatrix b = features(base.cols, 16, 43);
   const DenseMatrix got = eng.submit(id, b).wait().c;
   eng.shutdown();
-  EXPECT_EQ(got.max_abs_diff(serve_fresh(*eff, b)), 0.0);
+  EXPECT_TRUE(bitwise_equal(got, reference_spmm(*eff, b)));
   EXPECT_EQ(eng.stats().graph_compactions, 1u);
 }
 
@@ -399,10 +389,49 @@ TEST(EngineDynamic, PrePostUpdateRequestsNeverCoalesce) {
 
   EXPECT_EQ(pre.wait().batch_size, 1);
   EXPECT_EQ(post.wait().batch_size, 1);
-  EXPECT_EQ(pre.wait().c.max_abs_diff(serve_fresh(base, b)), 0.0);
-  EXPECT_EQ(post.wait().c.max_abs_diff(serve_fresh(*eng.graph(id), b)), 0.0);
-  EXPECT_NE(pre.wait().c.max_abs_diff(post.wait().c), 0.0)
+  EXPECT_TRUE(bitwise_equal(pre.wait().c, reference_spmm(base, b)));
+  EXPECT_TRUE(bitwise_equal(post.wait().c, reference_spmm(*eng.graph(id), b)));
+  EXPECT_FALSE(bitwise_equal(pre.wait().c, post.wait().c))
       << "the update must actually change row 0's output";
+}
+
+TEST(EngineDynamic, CoalescedOverlayBatchesMatchReferenceBitwise) {
+  // Coalesced Sum and Max batches over a live overlay: the patch rows'
+  // outputs overwrite the base kernel's rows by row copy before the
+  // per-request split, at odd widths that end each batch in a partial
+  // column tile of the host kernel.
+  const Csr base = testutil::zoo_uniform();
+  Engine eng(dynamic_opts());
+  const GraphId id = eng.register_graph(base);
+  EdgeBatch batch;
+  batch.inserts = {{0, 5, 2.0f}, {17, 3, -1.0f}, {199, 0, 0.25f}};
+  batch.deletes = {{0, static_cast<index_t>(base.colind[0])}};
+  const UpdateReport rep = eng.apply_update(id, batch);
+  ASSERT_FALSE(rep.compacted);
+  ASSERT_GT(rep.overlay_nnz, 0);
+  const std::shared_ptr<const Csr> eff = eng.graph(id);
+
+  struct Request {
+    DenseMatrix b;
+    kernels::ReduceKind reduce;
+    Ticket ticket;
+  };
+  std::vector<Request> reqs;
+  for (const kernels::ReduceKind reduce : {kernels::ReduceKind::Sum, kernels::ReduceKind::Max}) {
+    for (const index_t n : {5, 7, 11}) {
+      DenseMatrix b = features(base.cols, n, 60 + static_cast<std::uint64_t>(n));
+      Ticket t = eng.submit(id, b, {.reduce = reduce});
+      reqs.push_back({std::move(b), reduce, std::move(t)});
+    }
+  }
+  eng.shutdown();
+
+  for (const Request& r : reqs) {
+    const auto& res = r.ticket.wait();
+    EXPECT_GT(res.batch_size, 1);
+    EXPECT_TRUE(bitwise_equal(res.c, reference_spmm(*eff, r.b, r.reduce)))
+        << kernels::reduce_kind_name(r.reduce) << " n=" << r.b.cols();
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -458,14 +487,8 @@ TEST(EngineDynamic, ShardedUpdateReplansOnlyTouchedShards) {
   EXPECT_EQ(after.hits - before.hits, 1u);
   EXPECT_EQ(after.misses - before.misses, 1u);
 
-  // Bitwise contract against from-scratch re-registration of the
-  // effective CSR (served sharded on a fresh engine too).
-  Engine ref_eng(sharded_opts());
-  const GraphId ref_id = ref_eng.register_graph(*eng.graph(id));
-  ref_eng.start();
-  const DenseMatrix want = ref_eng.submit(ref_id, b).wait().c;
-  ref_eng.shutdown();
-  EXPECT_EQ(res.c.max_abs_diff(want), 0.0);
+  // Bitwise contract against the reference over the effective CSR.
+  EXPECT_TRUE(bitwise_equal(res.c, reference_spmm(*eng.graph(id), b)));
   eng.shutdown();
 }
 
@@ -489,12 +512,7 @@ TEST(EngineDynamic, ShardedCompactionRepartitionsEverything) {
   const DenseMatrix got = eng.submit(id, b).wait().c;
   eng.shutdown();
 
-  Engine ref_eng(sharded_opts());
-  const GraphId ref_id = ref_eng.register_graph(*eng.graph(id));
-  ref_eng.start();
-  const DenseMatrix want = ref_eng.submit(ref_id, b).wait().c;
-  ref_eng.shutdown();
-  EXPECT_EQ(got.max_abs_diff(want), 0.0);
+  EXPECT_TRUE(bitwise_equal(got, reference_spmm(*eng.graph(id), b)));
 }
 
 // ---------------------------------------------------------------------------
@@ -538,11 +556,11 @@ TEST(EngineDynamic, ModelRebindsUnderStableHandleAndInflightSnapshotSurvives) {
   Ticket post = eng.submit_model(mid, x);
   eng.shutdown();
 
-  EXPECT_EQ(inflight.wait().c.max_abs_diff(model_fresh(base)), 0.0)
+  EXPECT_TRUE(bitwise_equal(inflight.wait().c, model_fresh(base)))
       << "in-flight model ticket must execute its pre-update snapshot";
-  EXPECT_EQ(post.wait().c.max_abs_diff(model_fresh(*eng.graph(gid))), 0.0)
+  EXPECT_TRUE(bitwise_equal(post.wait().c, model_fresh(*eng.graph(gid))))
       << "post-update model ticket must serve the rebound compilation";
-  EXPECT_NE(inflight.wait().c.max_abs_diff(post.wait().c), 0.0);
+  EXPECT_FALSE(bitwise_equal(inflight.wait().c, post.wait().c));
 }
 
 TEST(EngineDynamic, UpdateErrorsLeaveTheGraphUntouched) {

@@ -46,11 +46,9 @@ DenseMatrix features(index_t rows, index_t cols, std::uint64_t seed) {
 }
 
 /// The reference composition: per layer, the dense transform on the
-/// plan's side of an Engine-submitted aggregation, sharing gemm/bias_act
-/// with the fused executor. What a client without submit_model would run.
-DenseMatrix composed_forward(Engine& engine, GraphId gid,
-                             const serve::RegisteredModel& m,
-                             const DenseMatrix& x) {
+/// plan's side of a reference aggregation (spmm_host_reference over the
+/// model's graph), sharing gemm/bias_act with the fused executor.
+DenseMatrix composed_forward(const serve::RegisteredModel& m, const DenseMatrix& x) {
   DenseMatrix h = x;
   for (std::size_t l = 0; l < m.plan.layers.size(); ++l) {
     const LayerStep& s = m.plan.layers[l];
@@ -59,14 +57,13 @@ DenseMatrix composed_forward(Engine& engine, GraphId gid,
     if (s.transform_first) {
       DenseMatrix t(h.rows(), s.out_width);
       serve::gemm(h, w, t);
-      const Ticket tk = engine.submit(gid, std::move(t), {.reduce = s.reduce});
-      DenseMatrix z = tk.wait().c;
+      DenseMatrix z = testutil::reference_spmm(*m.graph, t, s.reduce);
       serve::bias_act(z, b, s.relu);
       h = std::move(z);
     } else {
-      const Ticket tk = engine.submit(gid, DenseMatrix(h), {.reduce = s.reduce});
       DenseMatrix out(h.rows(), s.out_width);
-      serve::dense_transform(tk.wait().c, w, b, s.relu, out);
+      serve::dense_transform(testutil::reference_spmm(*m.graph, h, s.reduce), w, b, s.relu,
+                             out);
       h = std::move(out);
     }
   }
@@ -194,8 +191,9 @@ TEST(ModelArena, RecyclesExactShapes) {
 
 TEST(ModelServe, FusedMatchesComposedBitwise) {
   // The acceptance property: submit_model's fused forward pass must be
-  // bitwise identical to layer-by-layer composition through submit plus
-  // the shared host-side dense transforms — while modelling strictly
+  // bitwise identical to layer-by-layer composition from the reference
+  // aggregation plus the shared host-side dense transforms — while
+  // modelling strictly
   // less device time. Covers both model kinds and both semirings.
   struct Case {
     ServedModelKind kind;
@@ -225,8 +223,8 @@ TEST(ModelServe, FusedMatchesComposedBitwise) {
     ASSERT_EQ(fused.c.rows(), 96);
     ASSERT_EQ(fused.c.cols(), 5);
 
-    const DenseMatrix composed = composed_forward(engine, gid, *model, x);
-    EXPECT_EQ(fused.c.max_abs_diff(composed), 0.0)
+    const DenseMatrix composed = composed_forward(*model, x);
+    EXPECT_TRUE(testutil::bitwise_equal(fused.c, composed))
         << "fused pass diverged for kind="
         << serve::served_model_kind_name(tc.kind);
 
@@ -267,7 +265,7 @@ TEST(ModelServe, CrossLayerAndCrossRequestPlanReuse) {
   // (deterministic replay).
   const Ticket replay_tk = engine.submit_model(mid, features(128, 32, 1));
   const RequestResult& replay = replay_tk.wait();
-  EXPECT_EQ(replay.c.max_abs_diff(first.c), 0.0);
+  EXPECT_TRUE(testutil::bitwise_equal(replay.c, first.c));
   EXPECT_DOUBLE_EQ(replay.modelled_ms, first.modelled_ms);
 
   const auto st = engine.stats();

@@ -550,13 +550,12 @@ TEST(ServeSchedulerEngine, ShedTicketContractIsStatusNotThrow) {
 
   eng.shutdown();  // drains all four admitted requests
 
-  DenseMatrix want(a.rows, 8);
-  spmm(a, features(a.cols, 8, 811), want);
+  const DenseMatrix want = testutil::reference_spmm(a, features(a.cols, 8, 811));
   for (const Ticket* t : {&t1, &t2, &t3, &t4}) {
     const auto& res = t->wait();
     EXPECT_EQ(res.status, RequestStatus::Ok);
     EXPECT_EQ(res.shed_reason, ShedReason::None);
-    EXPECT_EQ(res.c.max_abs_diff(want), 0.0);
+    EXPECT_TRUE(testutil::bitwise_equal(res.c, want));
     EXPECT_GT(res.completed_at_ms, 0.0);
   }
 

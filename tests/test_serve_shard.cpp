@@ -128,8 +128,6 @@ TEST(ShardPlanner, ShardKernelsReassembleBitwise) {
     if (zc.matrix.rows < 4) continue;  // need at least one row per shard
     const Csr& a = zc.matrix;
     const DenseMatrix b = features(a.cols, 9, 1234);
-    DenseMatrix want(a.rows, 9);
-    kernels::spmm_host_parallel(a, b, want, ReduceKind::Sum);
 
     const ShardPlan plan = serve::plan_shards(a, 4);
     DenseMatrix got(a.rows, 9);
@@ -142,7 +140,7 @@ TEST(ShardPlanner, ShardKernelsReassembleBitwise) {
         }
       }
     }
-    EXPECT_EQ(got.max_abs_diff(want), 0.0)
+    EXPECT_TRUE(testutil::bitwise_equal(got, testutil::reference_spmm(a, b)))
         << zc.name << ": sharded slices must reassemble bitwise";
   }
 }
@@ -208,7 +206,7 @@ TEST(ShardPlanner, ZeroNnzShardsPlanCleanly) {
   for (const auto& s : plan.shards) {
     DenseMatrix part(s.rows(), 5);
     kernels::spmm_host_parallel(s.csr, b, part, ReduceKind::Sum);
-    EXPECT_EQ(part.max_abs_diff(DenseMatrix(s.rows(), 5)), 0.0);
+    EXPECT_TRUE(testutil::bitwise_equal(part, DenseMatrix(s.rows(), 5)));
   }
 }
 
@@ -282,13 +280,12 @@ TEST(ShardEngine, OversizedGraphShardsAndMatchesUnshardedBitwise) {
   const auto& res = t.wait();
   ASSERT_EQ(res.status, serve::RequestStatus::Ok);
   EXPECT_EQ(res.shards, 2);
-  EXPECT_EQ(res.c.max_abs_diff(ref_res.c), 0.0)
+  EXPECT_TRUE(testutil::bitwise_equal(res.c, ref_res.c))
       << "sharded output must be bitwise identical to unsharded";
 
-  // And both match the library kernel bitwise.
-  DenseMatrix want(a.rows, 16);
-  spmm(a, features(a.cols, 16, 321), want, ReduceKind::Sum);
-  EXPECT_EQ(res.c.max_abs_diff(want), 0.0);
+  // And both match the sequential reference bitwise.
+  EXPECT_TRUE(
+      testutil::bitwise_equal(res.c, testutil::reference_spmm(a, features(a.cols, 16, 321))));
 
   const auto st = eng.stats();
   EXPECT_EQ(st.graphs_sharded, 1u);
@@ -328,6 +325,41 @@ TEST(ShardEngine, ShardQualifiedPlanKeysCoexist) {
   const auto& res2 = t2.wait();
   EXPECT_TRUE(res2.plan_cache_hit);
   EXPECT_EQ(eng.plan_cache().resident_keys().size(), 2u);
+}
+
+TEST(ShardEngine, CoalescedOddWidthBatchesMatchReferenceBitwise) {
+  // Coalesced Sum and Max batches on a sharded graph: odd widths put
+  // request boundaries inside the host kernel's 8-column tiles, each batch
+  // ends in a partial tile, and every shard's rows reach the merged output
+  // by block copy before the per-request split.
+  const Csr a = testutil::zoo_skewed();
+  Engine eng(shard_opts(2, serve::csr_bytes(a) - 1));
+  const GraphId id = eng.register_graph(a);
+  ASSERT_NE(eng.shard_plan(id), nullptr);
+
+  struct Request {
+    DenseMatrix b;
+    ReduceKind reduce;
+    Ticket ticket;
+  };
+  std::vector<Request> reqs;
+  for (const ReduceKind reduce : {ReduceKind::Sum, ReduceKind::Max}) {
+    for (const index_t n : {3, 9, 13}) {
+      DenseMatrix b = features(a.cols, n, 700 + static_cast<std::uint64_t>(n));
+      Ticket t = eng.submit(id, b, {.reduce = reduce});
+      reqs.push_back({std::move(b), reduce, std::move(t)});
+    }
+  }
+  eng.shutdown();
+
+  for (const Request& r : reqs) {
+    const auto& res = r.ticket.wait();
+    ASSERT_EQ(res.status, serve::RequestStatus::Ok);
+    EXPECT_EQ(res.shards, 2);
+    EXPECT_GT(res.batch_size, 1);
+    EXPECT_TRUE(testutil::bitwise_equal(res.c, testutil::reference_spmm(a, r.b, r.reduce)))
+        << kernels::reduce_kind_name(r.reduce) << " n=" << r.b.cols();
+  }
 }
 
 TEST(ShardEngine, FourWayShardingShrinksMakespan) {

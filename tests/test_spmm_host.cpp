@@ -1,0 +1,114 @@
+/// Host SpMM: spmm_host_parallel against the sequential
+/// spmm_host_reference, byte for byte. The parallel kernel folds a tile of
+/// output columns per walk of a sparse row, so these sweeps pin each output
+/// element's fold order: every reduction, widths on both sides of the
+/// column tile, every layout pairing of B and C, and operands holding NaN,
+/// infinities and signed zeros. Also pins the comparison helpers the
+/// serving suites' bitwise assertions rest on.
+
+#include <gtest/gtest.h>
+
+#include <limits>
+#include <stdexcept>
+#include <vector>
+
+#include "test_util.hpp"
+
+namespace gespmm {
+namespace {
+
+using testutil::bitwise_equal;
+using testutil::Csr;
+using testutil::DenseMatrix;
+using testutil::index_t;
+using testutil::Layout;
+using testutil::ReduceKind;
+using testutil::value_t;
+
+constexpr ReduceKind kKinds[] = {ReduceKind::Sum, ReduceKind::Max, ReduceKind::Min,
+                                 ReduceKind::Mean};
+constexpr Layout kLayouts[] = {Layout::RowMajor, Layout::ColMajor};
+
+const char* layout_name(Layout l) { return l == Layout::RowMajor ? "row-major" : "col-major"; }
+
+/// spmm_host_parallel into a NaN-filled C, so an element the kernel never
+/// writes cannot pass, compared with the reference.
+::testing::AssertionResult parallel_matches_reference(const Csr& a, const DenseMatrix& b,
+                                                      Layout c_layout, ReduceKind kind) {
+  DenseMatrix got(a.rows, b.cols(), c_layout);
+  got.fill(std::numeric_limits<value_t>::quiet_NaN());
+  kernels::spmm_host_parallel(a, b, got, kind);
+  return bitwise_equal(got, testutil::reference_spmm(a, b, kind));
+}
+
+TEST(SpmmHost, ParallelMatchesReferenceBitwise) {
+  // The zoo plus a larger power-law and a rectangular uniform matrix.
+  std::vector<testutil::ZooCase> cases = testutil::zoo_cases();
+  cases.push_back({"rmat", sparse::rmat(10, 16.0, 0.57, 0.19, 0.19, 4)});
+  cases.push_back({"uniform_rect", sparse::uniform_random(300, 700, 6000, 5)});
+  // Widths on both sides of the 8-column tile: tail only, whole tiles,
+  // and tiles plus a tail.
+  const index_t widths[] = {1, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65, 257};
+  for (const auto& [name, a] : cases) {
+    for (const index_t n : widths) {
+      for (const Layout bl : kLayouts) {
+        DenseMatrix b(a.cols, n, bl);
+        kernels::fill_random(b, 100 + static_cast<std::uint64_t>(n));
+        for (const Layout cl : kLayouts) {
+          for (const ReduceKind kind : kKinds) {
+            EXPECT_TRUE(parallel_matches_reference(a, b, cl, kind))
+                << name << " n=" << n << " " << kernels::reduce_kind_name(kind) << ", B "
+                << layout_name(bl) << ", C " << layout_name(cl);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SpmmHost, SpecialValuesFoldInReferenceOrder) {
+  // Which NaN or signed zero Max and Min keep depends on each element's
+  // fold order, and so does where Sum meets 0 * inf or inf - inf. Sum and
+  // Mean only see the NaNs arithmetic makes (one bit pattern): IEEE leaves
+  // open which payload NaN + NaN returns, and a compiler may emit an
+  // addition in either operand order.
+  const value_t inf = std::numeric_limits<value_t>::infinity();
+  const value_t specials[] = {-0.0f, 0.0f, inf, -inf, std::numeric_limits<value_t>::quiet_NaN()};
+  Csr a = testutil::zoo_skewed();
+  for (std::size_t p = 0; p < a.val.size(); p += 5) a.val[p] = p % 2 == 0 ? 0.0f : -0.0f;
+  for (const index_t n : {5, 8, 19}) {
+    for (const ReduceKind kind : kKinds) {
+      const bool selects = kind == ReduceKind::Max || kind == ReduceKind::Min;
+      DenseMatrix b(a.cols, n);
+      kernels::fill_random(b, 300 + static_cast<std::uint64_t>(n));
+      auto host = b.device().host();
+      for (std::size_t k = 0; k < host.size(); k += 7) {
+        host[k] = specials[(k / 7) % (selects ? 5 : 4)];
+      }
+      EXPECT_TRUE(parallel_matches_reference(a, b, Layout::RowMajor, kind))
+          << "n=" << n << " " << kernels::reduce_kind_name(kind);
+    }
+  }
+}
+
+TEST(BitwiseEqual, CatchesWhatMaxAbsDiffMisses) {
+  DenseMatrix x(2, 3);
+  DenseMatrix y(2, 3, Layout::ColMajor);  // compared by element, not by storage
+  EXPECT_TRUE(bitwise_equal(x, y));
+
+  y.at(1, 2) = -0.0f;
+  EXPECT_EQ(x.max_abs_diff(y), 0.0);
+  EXPECT_FALSE(bitwise_equal(x, y));
+
+  y.at(1, 2) = std::numeric_limits<value_t>::quiet_NaN();
+  EXPECT_EQ(x.max_abs_diff(y), 0.0);
+  EXPECT_FALSE(bitwise_equal(x, y));
+
+  const DenseMatrix narrower(2, 2);
+  EXPECT_THROW(x.max_abs_diff(narrower), std::invalid_argument);
+  EXPECT_FALSE(bitwise_equal(x, narrower));
+  EXPECT_FALSE(bitwise_equal(DenseMatrix(3, 2), DenseMatrix(2, 3)));
+}
+
+}  // namespace
+}  // namespace gespmm

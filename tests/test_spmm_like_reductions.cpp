@@ -54,7 +54,7 @@ void expect_exact_match(const Csr& a, const CustomReduceOp& op, index_t n,
   DenseMatrix c(a.rows, n);
   spmm_like(a, b, c, op);
   const DenseMatrix ref = scalar_reference(a, b, op);
-  EXPECT_EQ(c.max_abs_diff(ref), 0.0)
+  EXPECT_TRUE(testutil::bitwise_equal(c, ref))
       << what << " deviates from the sequential scalar reference for "
       << a.rows << "x" << a.cols << " nnz=" << a.nnz();
 }
@@ -120,7 +120,7 @@ TEST(SpmmLike, CustomMaxAgreesWithBuiltinMaxReduce) {
   spmm(a, b, via_builtin, ReduceKind::Max);
   DenseMatrix via_custom(a.rows, 9);
   spmm_like(a, b, via_custom, max_pool_op());
-  EXPECT_EQ(via_builtin.max_abs_diff(via_custom), 0.0);
+  EXPECT_TRUE(testutil::bitwise_equal(via_builtin, via_custom));
 }
 
 TEST(SpmmLike, CustomMeanAgreesWithBuiltinMeanReduce) {
@@ -131,7 +131,7 @@ TEST(SpmmLike, CustomMeanAgreesWithBuiltinMeanReduce) {
   spmm(a, b, via_builtin, ReduceKind::Mean);
   DenseMatrix via_custom(a.rows, 5);
   spmm_like(a, b, via_custom, mean_op());
-  EXPECT_EQ(via_builtin.max_abs_diff(via_custom), 0.0);
+  EXPECT_TRUE(testutil::bitwise_equal(via_builtin, via_custom));
 }
 
 TEST(SpmmLike, DefaultCombineAndFinalizeAreMultiplyAndIdentity) {
@@ -145,7 +145,7 @@ TEST(SpmmLike, DefaultCombineAndFinalizeAreMultiplyAndIdentity) {
   spmm_like(a, b, via_custom, op);
   DenseMatrix via_sum(a.rows, 8);
   spmm(a, b, via_sum, ReduceKind::Sum);
-  EXPECT_EQ(via_custom.max_abs_diff(via_sum), 0.0);
+  EXPECT_TRUE(testutil::bitwise_equal(via_custom, via_sum));
 }
 
 TEST(SpmmLike, MissingRequiredOpsThrow) {

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+
 #include "kernels/dense.hpp"
 #include "kernels/semiring.hpp"
 #include "kernels/spmm_host.hpp"
@@ -67,12 +71,46 @@ inline std::vector<ZooCase> zoo_cases() {
           {"single_entry", zoo_single_entry()}, {"all_empty", zoo_all_empty()}};
 }
 
+/// The sequential reference output for `b` under `kind`: the oracle of
+/// every bitwise assertion.
+inline DenseMatrix reference_spmm(const Csr& a, const DenseMatrix& b,
+                                  ReduceKind kind = ReduceKind::Sum) {
+  DenseMatrix c(a.rows, b.cols());
+  kernels::spmm_host_reference(a, b, c, kind);
+  return c;
+}
+
+/// Byte-for-byte equality of two matrices' elements, whatever their
+/// layouts: equal shapes, and every element the same bit pattern. Unlike
+/// `max_abs_diff(o) == 0.0` it fails on a NaN mismatch and on +0 against
+/// -0. The failure message names the first differing element.
+inline ::testing::AssertionResult bitwise_equal(const DenseMatrix& got,
+                                                const DenseMatrix& want) {
+  if (got.rows() != want.rows() || got.cols() != want.cols()) {
+    return ::testing::AssertionFailure() << "shape " << got.rows() << "x" << got.cols()
+                                         << " vs " << want.rows() << "x" << want.cols();
+  }
+  for (index_t i = 0; i < got.rows(); ++i) {
+    for (index_t j = 0; j < got.cols(); ++j) {
+      const std::uint32_t g = std::bit_cast<std::uint32_t>(got.at(i, j));
+      const std::uint32_t w = std::bit_cast<std::uint32_t>(want.at(i, j));
+      if (g != w) {
+        char bits[32];
+        std::snprintf(bits, sizeof(bits), "0x%08x vs 0x%08x", g, w);
+        return ::testing::AssertionFailure()
+               << "element (" << i << ", " << j << "): " << got.at(i, j) << " vs "
+               << want.at(i, j) << " (" << bits << ")";
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 /// Reference comparison with mixed-order float tolerance.
 inline void expect_matches_reference(const Csr& a, const DenseMatrix& b,
                                      const DenseMatrix& c, ReduceKind kind,
                                      double tol = 2e-4) {
-  DenseMatrix ref(a.rows, b.cols());
-  kernels::spmm_host_reference(a, b, ref, kind);
+  const DenseMatrix ref = reference_spmm(a, b, kind);
   double worst = 0.0;
   for (index_t i = 0; i < a.rows; ++i) {
     for (index_t j = 0; j < b.cols(); ++j) {
