@@ -81,6 +81,7 @@ double percentile(std::vector<double> xs, double q) {
 /// enough (> 32) that Exact has a real candidate sweep to pay for.
 struct ColdRun {
   serve::EngineStats stats;
+  serve::PlanCacheStats plans;
   std::vector<double> completed_at_ms;
 };
 
@@ -111,6 +112,7 @@ ColdRun run_cold_workload(SelectionMode mode, const gpusim::DeviceSpec& dev,
   run.completed_at_ms.reserve(tickets.size());
   for (auto& t : tickets) run.completed_at_ms.push_back(t.wait().completed_at_ms);
   run.stats = eng.stats();
+  run.plans = eng.plan_cache().stats();
   return run;
 }
 
@@ -167,11 +169,11 @@ GESPMM_BENCH(serve_throughput) {
     const double p95_win = p95_pred > 0.0 ? p95_exact / p95_pred : 0.0;
 
     Table table({"selection", "builds", "plan_build_ms", "modelled_ms", "p95_ms", "speedup"});
-    table.add_row({"exact-sweep", std::to_string(exact.stats.plan_exact_builds),
+    table.add_row({"exact-sweep", std::to_string(exact.plans.exact_builds),
                    Table::fmt(exact.stats.plan_build_ms, 3),
                    Table::fmt(exact.stats.modelled_ms, 3),
                    Table::fmt(p95_exact, 3), "1.00"});
-    table.add_row({"predict", std::to_string(pred.stats.plan_predicted_builds),
+    table.add_row({"predict", std::to_string(pred.plans.predicted_builds),
                    Table::fmt(pred.stats.plan_build_ms, 3),
                    Table::fmt(pred.stats.modelled_ms, 3),
                    Table::fmt(p95_pred, 3), Table::fmt(p95_win)});
@@ -179,7 +181,7 @@ GESPMM_BENCH(serve_throughput) {
     std::printf("cold p95 win %.2fx (selection cost eliminated: %.3f ms; "
                 "mispredicts: %llu)\n",
                 p95_win, exact.stats.plan_build_ms,
-                static_cast<unsigned long long>(pred.stats.plan_mispredicts));
+                static_cast<unsigned long long>(pred.plans.mispredicts));
 
     ctx.record(dev.name, "citation-mix", "cold-exact", kColdN, p95_exact);
     ctx.record(dev.name, "citation-mix", "cold-predict", kColdN, p95_pred, p95_win);

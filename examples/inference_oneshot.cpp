@@ -9,7 +9,7 @@
 
 #include <cstdio>
 
-#include "core/plan.hpp"
+#include "core/gespmm.hpp"
 #include "kernels/registry.hpp"
 #include "kernels/spmm_aspt.hpp"
 #include "sparse/generators.hpp"

@@ -117,14 +117,7 @@ AutotuneResult autotune_spmm(const Csr& a, index_t n, const AutotuneOptions& opt
   // Compile the winner into its row-partition step list.
   if (res.best == SpmmAlgo::HybridMma && hybrid_detail.has_value()) {
     const auto& d = *hybrid_detail;
-    if (d.dense_rows > 0) {
-      res.steps.push_back(PlanStep{SpmmAlgo::HybridMma, StepPipe::Mma, 0,
-                                   d.dense_rows, d.dense_ms});
-    }
-    if (d.dense_rows < a.rows) {
-      res.steps.push_back(PlanStep{SpmmAlgo::HybridMma, StepPipe::Simt,
-                                   d.dense_rows, a.rows, d.ragged_ms});
-    }
+    res.steps = hybrid_step_plan(d.dense_rows, a.rows, d.dense_ms, d.ragged_ms);
   } else {
     res.steps = single_step_plan(res.best, a.rows, res.times_ms.at(res.best));
   }

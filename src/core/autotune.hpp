@@ -70,9 +70,9 @@ std::vector<SpmmAlgo> autotune_candidates(const Csr& a, index_t n,
 
 /// Cheap selection with no simulation: the trained predictor
 /// (core/plan_select) clamped to autotune_candidates — exactly the choice
-/// Predict-mode autotune makes before pricing it. SpmmPlan::algo_for
-/// routes here so plan-level dispatch can never disagree with what the
-/// serving layer's cached plans predict.
+/// Predict-mode autotune makes before pricing it, so a caller that only
+/// needs the kernel name can never disagree with what the serving
+/// layer's cached plans predict.
 SpmmAlgo select_spmm_algo(const Csr& a, index_t n,
                           const gpusim::DeviceSpec& device);
 

@@ -51,6 +51,21 @@ inline std::vector<PlanStep> single_step_plan(SpmmAlgo algo, index_t rows,
   return {PlanStep{algo, StepPipe::Simt, 0, rows, modelled_ms}};
 }
 
+/// The density-partitioned hybrid's step list: the dense rows
+/// [0, dense_rows) of its row permutation on the MMA pipe, then the ragged
+/// rest on SIMT. An empty partition contributes no step.
+inline std::vector<PlanStep> hybrid_step_plan(index_t dense_rows, index_t rows,
+                                              double dense_ms, double ragged_ms) {
+  std::vector<PlanStep> steps;
+  if (dense_rows > 0) {
+    steps.push_back(PlanStep{SpmmAlgo::HybridMma, StepPipe::Mma, 0, dense_rows, dense_ms});
+  }
+  if (dense_rows < rows) {
+    steps.push_back(PlanStep{SpmmAlgo::HybridMma, StepPipe::Simt, dense_rows, rows, ragged_ms});
+  }
+  return steps;
+}
+
 /// Sum of the steps' modelled times (a sequential composition: the steps
 /// of one plan run back-to-back on the same device).
 inline double plan_steps_time_ms(const std::vector<PlanStep>& steps) {

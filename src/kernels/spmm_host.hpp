@@ -2,7 +2,7 @@
 /// \file spmm_host.hpp
 /// Host (CPU) SpMM: the sequential gold reference used by tests, and an
 /// OpenMP row-parallel version for computing values without device
-/// metrics (`gespmm::spmm`, `SpmmPlan::run`, the serving engine). GNN
+/// metrics (`gespmm::spmm`, the serving engine). GNN
 /// training does not use it; `gnn::aggregate_forward` has its own loop.
 ///
 /// For row-major B and C the parallel version is a column-tiled fold, the

@@ -102,28 +102,43 @@ std::uint32_t Engine::tenant_index(const std::string& name) const {
   return static_cast<std::uint32_t>(it - tenant_names_.begin());
 }
 
+std::size_t Engine::device_capacity() const {
+  if (opt_.sharding.device_capacity_bytes != 0) {
+    return opt_.sharding.device_capacity_bytes;
+  }
+  std::size_t capacity = opt_.devices.front().dram_bytes;
+  for (const auto& dev : opt_.devices) capacity = std::min(capacity, dev.dram_bytes);
+  return capacity;
+}
+
+std::uint64_t Engine::registry_slot(GraphFingerprint& fp) const {
+  // Registrations of one content probe upwards from its classic key. A
+  // graph an update has moved on (version > 0) no longer matches, so its
+  // original content probes past it into a new lineage.
+  fp.lineage = 0;
+  const std::uint64_t key = fp.key();
+  for (;; ++fp.lineage) {
+    const auto it = graphs_.find(key + fp.lineage);
+    if (it == graphs_.end() || it->second.fp == fp) return key + fp.lineage;
+  }
+}
+
 GraphId Engine::register_graph(const Csr& a) {
   a.validate();
-  const GraphFingerprint fp = fingerprint(a);
-  const std::uint64_t key = fp.key();
+  GraphFingerprint fp = fingerprint(a);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (graphs_.contains(key)) {
+    const std::uint64_t handle = registry_slot(fp);
+    if (graphs_.contains(handle)) {
       ++stats_.register_dedup_hits;
-      return GraphId{key};
+      return GraphId{handle};
     }
   }
 
   // Shard planning happens outside the lock: it is an O(nnz) pass per
   // shard and only runs once per distinct oversized operand.
-  std::size_t capacity = opt_.sharding.device_capacity_bytes;
-  if (capacity == 0) {
-    capacity = opt_.devices.front().dram_bytes;
-    for (const auto& dev : opt_.devices) {
-      capacity = std::min(capacity, dev.dram_bytes);
-    }
-  }
-  std::shared_ptr<const ShardPlan> shards;
+  const std::size_t capacity = device_capacity();
+  std::shared_ptr<ShardPlan> shards;
   const std::size_t bytes = csr_bytes(a);
   if (bytes > capacity) {
     if (opt_.devices.size() < 2) {
@@ -145,15 +160,17 @@ GraphId Engine::register_graph(const Csr& a) {
   }
 
   std::lock_guard<std::mutex> lock(mu_);
-  if (graphs_.contains(key)) {
+  const std::uint64_t handle = registry_slot(fp);
+  if (graphs_.contains(handle)) {
     ++stats_.register_dedup_hits;
   } else {
-    graphs_.emplace(key, RegisteredGraph{std::make_shared<const Csr>(a),
-                                         shards, nullptr, fp, key});
+    if (shards) shards->graph_key = fp.key();
+    graphs_.emplace(handle, RegisteredGraph{std::make_shared<const Csr>(a),
+                                            shards, nullptr, fp, fp.key()});
     ++stats_.graphs_registered;
     if (shards) ++stats_.graphs_sharded;
   }
-  return GraphId{key};
+  return GraphId{handle};
 }
 
 std::shared_ptr<const Csr> Engine::effective_graph(const RegisteredGraph& g) {
@@ -220,16 +237,19 @@ ModelId Engine::register_model(GraphId graph, ModelSpec spec) {
   std::lock_guard<std::mutex> lock(mu_);
   // Content dedup scans values rather than map keys: after an update
   // rebinds a model, its registry key (the stable ModelId) no longer
-  // equals its recompiled plan.key.
+  // equals its recompiled plan.key. A handle still held by such a model
+  // is probed past, never handed out for a different one.
   for (const auto& [mid, m] : models_) {
     if (m->plan.key == key) {
       ++stats_.model_register_dedup_hits;
       return ModelId{mid};
     }
   }
-  models_.emplace(key, std::move(model));
+  std::uint64_t handle = key;
+  while (models_.contains(handle)) ++handle;
+  models_.emplace(handle, std::move(model));
   ++stats_.models_registered;
-  return ModelId{key};
+  return ModelId{handle};
 }
 
 std::shared_ptr<const RegisteredModel> Engine::model(ModelId id) const {
@@ -241,15 +261,24 @@ std::shared_ptr<const RegisteredModel> Engine::model(ModelId id) const {
   return it->second;
 }
 
-Ticket Engine::submit(GraphId id, DenseMatrix b, const SubmitOptions& options) {
+namespace {
+
+std::shared_ptr<detail::RequestState> new_request(const SubmitOptions& options,
+                                                  std::uint32_t tenant) {
   auto state = std::make_shared<detail::RequestState>();
   state->reduce = options.reduce;
   state->priority = options.priority;
-  state->tenant = tenant_index(options.tenant);
+  state->tenant = tenant;
   state->tenant_name = options.tenant;
   state->deadline_ms = options.deadline_ms;
-  bool shed = false;
-  ShedReason reason = ShedReason::None;
+  return state;
+}
+
+}  // namespace
+
+Ticket Engine::submit(GraphId id, DenseMatrix b, const SubmitOptions& options) {
+  auto state = new_request(options, tenant_index(options.tenant));
+  ShedReason shed = ShedReason::None;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (shutting_down_) {
@@ -262,11 +291,13 @@ Ticket Engine::submit(GraphId id, DenseMatrix b, const SubmitOptions& options) {
     // Snapshot the graph's current state and identity: the version-
     // bearing key means requests straddling an apply_update land in
     // different scheduler queues (never one batch), and the captured
-    // base/overlay/shards stay valid however the registry moves on.
+    // base/overlay/shards stay valid however the registry moves on. A
+    // sharded graph's slices already hold the updated rows, so it needs
+    // no overlay.
     state->graph_key = it->second.current_key;
     state->graph = it->second.csr;
-    state->overlay = it->second.overlay;
     state->shards = it->second.shards;
+    if (state->shards == nullptr) state->overlay = it->second.overlay;
     if (b.rows() != state->graph->cols) {
       throw std::invalid_argument("Engine::submit: B must have A.cols rows");
     }
@@ -278,57 +309,15 @@ Ticket Engine::submit(GraphId id, DenseMatrix b, const SubmitOptions& options) {
     }
     state->b = std::move(b);
     state->sched_width = state->b.cols();
-    const AdmissionDecision d = admission_.admit(
-        options.priority, scheduler_.pending(), tenant_cfgs_[state->tenant],
-        options.deadline_ms, virtual_now_ms_);
-    if (!d.admitted) {
-      shed = true;
-      reason = d.reason;
-      ++stats_.shed;
-      ++stats_.tenants[state->tenant].shed;
-    } else {
-      state->seq = next_seq_++;
-      scheduler_.enqueue({state->seq, state->graph_key, state->b.cols(),
-                          options.reduce, options.priority, /*model=*/false,
-                          state->tenant});
-      pending_states_.emplace(state->seq, state);
-      ++stats_.submitted;
-      ++stats_.tenants[state->tenant].submitted;
-    }
+    shed = admit(state);
   }
-  if (shed) {
-    // The ticket contract for shed requests: complete immediately with a
-    // typed status; wait() returns rather than throwing. Drop the feature
-    // matrix now — shedding must bound memory even while callers hold the
-    // ticket.
-    state->b = DenseMatrix();
-    state->graph.reset();
-    state->overlay.reset();
-    state->shards.reset();
-    RequestResult res;
-    res.status = RequestStatus::Shed;
-    res.shed_reason = reason;
-    res.priority = options.priority;
-    res.tenant = options.tenant;
-    res.deadline_ms = options.deadline_ms;
-    res.deadline_met = reason != ShedReason::DeadlineExceeded;
-    res.batch_size = 0;
-    state->fulfill(std::move(res));
-    return Ticket(state);
-  }
-  cv_.notify_one();
-  return Ticket(state);
+  return finish_submit(std::move(state), shed);
 }
 
 Ticket Engine::submit_model(ModelId id, DenseMatrix features,
                             const SubmitOptions& options) {
-  auto state = std::make_shared<detail::RequestState>();
-  state->priority = options.priority;
-  state->tenant = tenant_index(options.tenant);
-  state->tenant_name = options.tenant;
-  state->deadline_ms = options.deadline_ms;
-  bool shed = false;
-  ShedReason reason = ShedReason::None;
+  auto state = new_request(options, tenant_index(options.tenant));
+  ShedReason shed = ShedReason::None;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (shutting_down_) {
@@ -357,48 +346,59 @@ Ticket Engine::submit_model(ModelId id, DenseMatrix features,
     state->graph_key = m->plan.graph_key;
     state->reduce = m->spec.reduce;
     state->b = std::move(features);
+    // One ticket covers the whole forward pass; the model's summed
+    // per-layer SpMM width is what the pass costs the queue's DRR
+    // budget, so model and plain traffic compete on equal (width) terms.
     state->sched_width = m->plan.total_spmm_width;
-    const AdmissionDecision d = admission_.admit(
-        options.priority, scheduler_.pending(), tenant_cfgs_[state->tenant],
-        options.deadline_ms, virtual_now_ms_);
-    if (!d.admitted) {
-      shed = true;
-      reason = d.reason;
-      ++stats_.shed;
-      ++stats_.tenants[state->tenant].shed;
-    } else {
-      state->seq = next_seq_++;
-      // One ticket covers the whole forward pass; the model's summed
-      // per-layer SpMM width is what the pass costs the queue's DRR
-      // budget, so model and plain traffic compete on equal (width) terms.
-      scheduler_.enqueue({state->seq, state->graph_key,
-                          state->model->plan.total_spmm_width, state->reduce,
-                          options.priority, /*model=*/true, state->tenant});
-      pending_states_.emplace(state->seq, state);
-      ++stats_.submitted;
-      ++stats_.tenants[state->tenant].submitted;
-      ++stats_.model_requests;
-    }
+    shed = admit(state);
   }
-  if (shed) {
-    // Same ticket contract as submit: complete immediately, drop the
-    // payload so shedding bounds memory.
-    state->b = DenseMatrix();
-    state->graph.reset();
-    state->model.reset();
-    RequestResult res;
-    res.status = RequestStatus::Shed;
-    res.shed_reason = reason;
-    res.priority = options.priority;
-    res.tenant = options.tenant;
-    res.deadline_ms = options.deadline_ms;
-    res.deadline_met = reason != ShedReason::DeadlineExceeded;
-    res.batch_size = 0;
-    state->fulfill(std::move(res));
-    return Ticket(state);
+  return finish_submit(std::move(state), shed);
+}
+
+ShedReason Engine::admit(const std::shared_ptr<detail::RequestState>& state) {
+  const AdmissionDecision d =
+      admission_.admit(state->priority, scheduler_.pending(), tenant_cfgs_[state->tenant],
+                       state->deadline_ms, virtual_now_ms_);
+  if (!d.admitted) {
+    ++stats_.shed;
+    ++stats_.tenants[state->tenant].shed;
+    return d.reason;
   }
-  cv_.notify_one();
-  return Ticket(state);
+  const bool model = state->model != nullptr;
+  state->seq = next_seq_++;
+  scheduler_.enqueue({state->seq, state->graph_key, state->sched_width, state->reduce,
+                      state->priority, model, state->tenant});
+  pending_states_.emplace(state->seq, state);
+  ++stats_.submitted;
+  ++stats_.tenants[state->tenant].submitted;
+  if (model) ++stats_.model_requests;
+  return ShedReason::None;
+}
+
+Ticket Engine::finish_submit(std::shared_ptr<detail::RequestState> state,
+                             ShedReason shed) {
+  if (shed == ShedReason::None) {
+    cv_.notify_one();
+    return Ticket(std::move(state));
+  }
+  // The ticket contract for shed requests: complete immediately with a
+  // typed status; wait() returns rather than throwing. Drop the payload
+  // now — shedding must bound memory even while callers hold the ticket.
+  state->b = DenseMatrix();
+  state->graph.reset();
+  state->overlay.reset();
+  state->shards.reset();
+  state->model.reset();
+  RequestResult res;
+  res.status = RequestStatus::Shed;
+  res.shed_reason = shed;
+  res.priority = state->priority;
+  res.tenant = state->tenant_name;
+  res.deadline_ms = state->deadline_ms;
+  res.deadline_met = shed != ShedReason::DeadlineExceeded;
+  res.batch_size = 0;
+  state->fulfill(std::move(res));
+  return Ticket(std::move(state));
 }
 
 UpdateReport Engine::apply_update(GraphId id, const EdgeBatch& batch) {
@@ -431,13 +431,7 @@ UpdateReport Engine::apply_update(GraphId id, const EdgeBatch& batch) {
       static_cast<double>(overlay->overlay_nnz()) >
       opt_.delta.compact_nnz_fraction * static_cast<double>(g.csr->nnz());
 
-  std::size_t capacity = opt_.sharding.device_capacity_bytes;
-  if (capacity == 0) {
-    capacity = opt_.devices.front().dram_bytes;
-    for (const auto& dev : opt_.devices) {
-      capacity = std::min(capacity, dev.dram_bytes);
-    }
-  }
+  const std::size_t capacity = device_capacity();
 
   // Compute the graph's next state fully before committing anything, so a
   // capacity failure below leaves the registry untouched.
@@ -449,11 +443,12 @@ UpdateReport Engine::apply_update(GraphId id, const EdgeBatch& batch) {
   if (compact) {
     // Fold the overlay into a fresh CSR; the structural fingerprint
     // fields refresh here (the O(nnz) pass is being paid anyway) while
-    // the bumped version carries forward, keeping the compacted identity
-    // distinct from any static registration of the same content.
+    // the bumped version carries forward. The lineage re-anchors the
+    // handle on the new classic key, keeping the compacted identity
+    // distinct from any other graph of the same content and version.
     auto compacted = std::make_shared<const Csr>(overlay->materialize(*g.csr));
-    const GraphFingerprint structural = fingerprint(*compacted);
-    fp = structural;
+    fp = fingerprint(*compacted);
+    fp.lineage = id.key - fp.key();
     fp.version = rep.version;
     new_csr = std::move(compacted);
     new_overlay = nullptr;
@@ -563,13 +558,7 @@ EngineStats Engine::stats() const {
   EngineStats st = stats_;
   st.admission = admission_.stats();
   st.graphs = scheduler_.stats();
-  const PlanCacheStats ps = plan_cache_.stats();
-  st.plan_predicted_builds = ps.predicted_builds;
-  st.plan_exact_builds = ps.exact_builds;
-  st.plan_retunes = ps.retunes;
-  st.plan_mispredicts = ps.mispredicts;
-  st.plan_hybrid_builds = ps.hybrid_builds;
-  st.plan_invalidations = ps.invalidations;
+  st.plan_invalidations = plan_cache_.stats().invalidations;
   return st;
 }
 
@@ -580,7 +569,7 @@ double Engine::virtual_now_ms() const {
 
 void Engine::worker_loop() {
   for (;;) {
-    std::vector<std::shared_ptr<detail::RequestState>> batch;
+    Batch batch;
     std::size_t device_index = 0;
     {
       std::unique_lock<std::mutex> lock(mu_);
@@ -598,13 +587,9 @@ void Engine::worker_loop() {
     }
     if (batch.front()->model != nullptr) {
       // The scheduler ships model requests as singleton batches.
-      execute_model(std::move(batch.front()), device_index);
-    } else if (batch.front()->shards != nullptr) {
-      // A sharded graph spans the whole device group; the round-robin
-      // device pick does not apply.
-      execute_sharded_batch(std::move(batch));
+      execute_model(std::move(batch), device_index);
     } else {
-      execute_batch(std::move(batch), device_index);
+      execute_spmm(std::move(batch), device_index);
     }
   }
 }
@@ -657,32 +642,97 @@ DenseMatrix split_result(DenseMatrix& c_all, std::size_t batch_size, index_t col
   return c;
 }
 
+/// One kernel launch of a batch: a CSR (the whole operand, or one shard's
+/// row slice) and where its rows, plan and device come from.
+struct Launch {
+  const Csr* csr = nullptr;
+  /// Plan-cache graph key and shard index (-1 for the whole operand).
+  std::uint64_t plan_graph = 0;
+  std::int32_t shard = -1;
+  /// First output row the launch computes.
+  index_t row_begin = 0;
+  /// B rows the launch must gather from peer devices first.
+  index_t halo_cols = 0;
+  std::size_t device = 0;
+};
+
 }  // namespace
 
-void Engine::execute_batch(std::vector<std::shared_ptr<detail::RequestState>> batch,
-                           std::size_t device_index) {
-  const gpusim::DeviceSpec& dev = opt_.devices[device_index];
-  const Csr& a = *batch.front()->graph;
-  const ReduceKind reduce = batch.front()->reduce;
+void Engine::execute_spmm(Batch batch, std::size_t device_index) {
+  const detail::RequestState& head = *batch.front();
+  const Csr& a = *head.graph;
+  const ReduceKind reduce = head.reduce;
 
   index_t total_n = 0;
   for (const auto& r : batch) total_n += r->b.cols();
   DenseMatrix coalesced;
   const DenseMatrix* b_all = coalesce_features(batch, a.cols, total_n, &coalesced);
 
-  // The lease pins the plan for the duration of the batch: an in-flight
-  // plan is never evicted, so concurrent same-shape batches hit.
-  const PlanKey key{batch.front()->graph_key, dev.name, total_n, reduce};
-  PlanLease lease = plan_cache_.acquire(key, a, dev);
-  const bool hit = lease.hit();
-  const auto plan = lease.plan();
-  // A cold miss pays for the selection itself: the sweep's profiling runs
-  // beyond the winner (0 under the default Predict mode). Hits ride the
-  // already-paid selection.
-  const double build_ms = hit ? 0.0 : plan->build_ms;
+  // An unsharded graph is one launch on the round-robin device. A sharded
+  // graph spans the whole device group instead: shard i runs on
+  // devices[i], all in parallel, each against its own shard-qualified
+  // plan.
+  std::vector<Launch> launches;
+  if (head.shards == nullptr) {
+    launches.push_back({&a, head.graph_key, -1, 0, 0, device_index});
+  } else {
+    for (const GraphShard& s : head.shards->shards) {
+      launches.push_back({&s.csr, s.key, s.index, s.row_begin, s.halo_cols,
+                          static_cast<std::size_t>(s.index)});
+    }
+  }
 
   DenseMatrix c_all(a.rows, total_n);
-  kernels::spmm_host_parallel(a, *b_all, c_all, reduce);
+  Charge charge;
+  RequestResult shared;
+  for (const Launch& l : launches) {
+    const gpusim::DeviceSpec& dev = opt_.devices[l.device];
+    // The lease pins the plan while the launch runs: an in-flight plan is
+    // never evicted, so concurrent same-shape batches hit. It drops at the
+    // end of the launch, so once a ticket's wait() returns this batch
+    // holds no pins and a quiesced apply_update invalidates
+    // deterministically.
+    const PlanLease lease =
+        plan_cache_.acquire({l.plan_graph, dev.name, total_n, reduce, l.shard}, *l.csr, dev);
+    if (&l == &launches.front()) {  // the result reports shard 0's plan
+      shared.algo = lease->algo;
+      shared.plan_steps = lease->steps;
+      shared.device = dev.name;
+    }
+
+    if (l.csr->rows == a.rows) {
+      kernels::spmm_host_parallel(*l.csr, *b_all, c_all, reduce);
+    } else {
+      // Merge: the slice's rows are one contiguous block of the row-major
+      // full output. Row-parallel SpMM makes this bitwise identical to the
+      // unsharded kernel — same per-row accumulation order, different host.
+      DenseMatrix c_slice(l.csr->rows, total_n);
+      kernels::spmm_host_parallel(*l.csr, *b_all, c_slice, reduce);
+      std::memcpy(row_ptr(c_all, l.row_begin), c_slice.device().data(),
+                  c_slice.size() * sizeof(value_t));
+    }
+
+    // Before a shard's kernel can run it must gather its halo rows of B
+    // from peer devices; that transfer is priced against the modelled
+    // interconnect and charged to the launch's device clock, so scaling
+    // honestly pays for the scatter/gather structure. The batch completes
+    // with its slowest launch (the makespan the scaling bench measures).
+    // A launch without halo rows never touches the interconnect.
+    const double halo_bytes =
+        static_cast<double>(l.halo_cols) * static_cast<double>(total_n) * sizeof(value_t);
+    const double gather_ms =
+        l.halo_cols > 0 ? halo_bytes / (opt_.sharding.interconnect_gbps * 1e6) : 0.0;
+    const double launch_ms = lease->modelled_ms + gather_ms;
+    charge.gather_ms += gather_ms;
+    shared.modelled_ms = std::max(shared.modelled_ms, launch_ms);
+    // A cold miss pays for the selection itself: the sweep's profiling
+    // runs beyond the winner (0 under the default Predict mode). Hits ride
+    // the already-paid selection.
+    const bool hit = lease.hit();
+    charge.devices.push_back({l.device, launch_ms, hit ? 0.0 : lease->build_ms,
+                              hit ? 1u : 0u, hit ? 0u : 1u});
+    if (l.shard >= 0) ++charge.shard_launches;
+  }
 
   // Dynamic overlay: touched rows' outputs are recomputed from their
   // post-update (canonical) form and overwrite the base kernel's rows.
@@ -691,7 +741,7 @@ void Engine::execute_batch(std::vector<std::shared_ptr<detail::RequestState>> ba
   // per-row accumulation order compaction would store. The plan (and its
   // modelled time) stays priced on the base: the overlay is bounded by
   // the compaction fraction, so the base shape dominates.
-  if (const DeltaOverlay* ov = batch.front()->overlay.get()) {
+  if (const DeltaOverlay* ov = head.overlay.get()) {
     const Csr& patch = ov->patch();
     DenseMatrix c_patch(patch.rows, total_n);
     kernels::spmm_host_parallel(patch, *b_all, c_patch, reduce);
@@ -703,206 +753,26 @@ void Engine::execute_batch(std::vector<std::shared_ptr<detail::RequestState>> ba
     }
   }
 
-  // Account the batch before fulfilling tickets: once a ticket reads
-  // ready, its batch is visible in stats(). completed_at is the device's
-  // cumulative modelled time including this batch — the virtual clock
-  // latency percentiles are computed over.
-  double completed_at = 0.0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    DeviceServeStats& ds = stats_.devices[device_index];
-    ds.requests += batch.size();
-    ds.batches += 1;
-    ds.modelled_ms += plan->modelled_ms + build_ms;
-    completed_at = ds.modelled_ms;
-    virtual_now_ms_ = std::max(virtual_now_ms_, completed_at);
-    (hit ? ds.plan_cache_hits : ds.plan_cache_misses) += 1;
-    stats_.completed += batch.size();
-    stats_.batches += 1;
-    if (batch.size() > 1) stats_.coalesced_requests += batch.size();
-    (hit ? stats_.plan_cache_hits : stats_.plan_cache_misses) += 1;
-    stats_.modelled_ms += plan->modelled_ms + build_ms;
-    stats_.plan_build_ms += build_ms;
-    for (const auto& r : batch) {
-      TenantServeStats& ts = stats_.tenants[r->tenant];
-      ++ts.completed;
-      ts.served_width += static_cast<std::uint64_t>(r->sched_width);
-      if (r->deadline_ms > 0.0 && completed_at > r->deadline_ms) {
-        ++stats_.deadline_missed;
-      }
-    }
-  }
-
-  // Drop the pin before any waiter can wake: once a ticket's wait()
-  // returns, this batch holds no plan-cache pins, so a caller that
-  // quiesces the engine and then calls apply_update gets deterministic
-  // targeted invalidation (a pinned entry would survive it). The sharded
-  // and model paths already scope their leases per shard / per layer.
-  lease.release();
-
-  index_t col0 = 0;
-  for (const auto& r : batch) {
-    const index_t n_r = r->b.cols();
-    RequestResult res;
-    res.c = split_result(c_all, batch.size(), col0, n_r);
-    col0 += n_r;
-    res.status = RequestStatus::Ok;
-    res.priority = r->priority;
-    res.tenant = r->tenant_name;
-    res.algo = plan->algo;
-    res.plan_steps = plan->steps;
-    res.device = dev.name;
-    res.modelled_ms = plan->modelled_ms * n_r / total_n;
-    res.completed_at_ms = completed_at;
-    res.deadline_ms = r->deadline_ms;
-    res.deadline_met = r->deadline_ms <= 0.0 || completed_at <= r->deadline_ms;
-    res.plan_cache_hit = hit;
-    res.batch_size = static_cast<int>(batch.size());
-    r->fulfill(std::move(res));
-  }
+  shared.shards = head.shards == nullptr ? 0 : head.shards->num_shards();
+  account(batch, charge, shared);
+  fulfill(batch, c_all, shared);
 }
 
-void Engine::execute_sharded_batch(
-    std::vector<std::shared_ptr<detail::RequestState>> batch) {
-  const ShardPlan& plan = *batch.front()->shards;
-  const Csr& a = *batch.front()->graph;
-  const ReduceKind reduce = batch.front()->reduce;
-  const int num_shards = plan.num_shards();
-
-  index_t total_n = 0;
-  for (const auto& r : batch) total_n += r->b.cols();
-  DenseMatrix coalesced;
-  const DenseMatrix* b_all = coalesce_features(batch, a.cols, total_n, &coalesced);
-
-  // Scatter: shard i executes on devices[i] — all shards in parallel, each
-  // against its own shard-qualified plan. Before a shard's kernel can run
-  // it must gather the B rows it references but does not own (its halo
-  // columns) from peer devices; that transfer is priced against the
-  // modelled interconnect and charged to the shard's device clock, so
-  // scaling honestly pays for the scatter/gather structure.
-  DenseMatrix c_all(a.rows, total_n);
-  std::vector<double> shard_ms(static_cast<std::size_t>(num_shards), 0.0);
-  std::vector<double> shard_build_ms(static_cast<std::size_t>(num_shards), 0.0);
-  std::vector<bool> shard_hit(static_cast<std::size_t>(num_shards), false);
-  double gather_total_ms = 0.0;
-  SpmmAlgo algo0 = SpmmAlgo::GeSpMM;
-  std::vector<PlanStep> steps0;
-  bool all_hit = true;
-  for (int si = 0; si < num_shards; ++si) {
-    const GraphShard& shard = plan.shards[static_cast<std::size_t>(si)];
-    const gpusim::DeviceSpec& dev = opt_.devices[static_cast<std::size_t>(si)];
-    const PlanKey key{shard.key, dev.name, total_n, reduce, si};
-    const PlanLease lease = plan_cache_.acquire(key, shard.csr, dev);
-    shard_hit[static_cast<std::size_t>(si)] = lease.hit();
-    all_hit = all_hit && lease.hit();
-    if (si == 0) {
-      algo0 = lease->algo;
-      steps0 = lease->steps;
-    }
-
-    // Merge: the shard's rows are one contiguous block of the row-major
-    // full output. Row-parallel SpMM makes this bitwise identical to the
-    // unsharded kernel — same per-row accumulation order, different host.
-    DenseMatrix c_shard(shard.rows(), total_n);
-    kernels::spmm_host_parallel(shard.csr, *b_all, c_shard, reduce);
-    std::memcpy(row_ptr(c_all, shard.row_begin), c_shard.device().data(),
-                c_shard.size() * sizeof(value_t));
-
-    const double halo_bytes = static_cast<double>(shard.halo_cols) *
-                              static_cast<double>(total_n) * sizeof(value_t);
-    const double gather_ms =
-        halo_bytes / (opt_.sharding.interconnect_gbps * 1e6);
-    gather_total_ms += gather_ms;
-    shard_ms[static_cast<std::size_t>(si)] = lease->modelled_ms + gather_ms;
-    // Cold shard plans charge their selection cost (the sweep's extra
-    // profiling runs) to the shard's device; kept out of shard_ms so the
-    // makespan below stays an execution metric.
-    if (!lease.hit()) shard_build_ms[static_cast<std::size_t>(si)] = lease->build_ms;
-  }
-
-  // Account before fulfilling, like execute_batch. Each shard's device
-  // clock advances by its own shard time; the batch completes when the
-  // slowest participating device does (the makespan the scaling bench
-  // measures).
-  double completed_at = 0.0;
-  double makespan_ms = 0.0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (int si = 0; si < num_shards; ++si) {
-      DeviceServeStats& ds = stats_.devices[static_cast<std::size_t>(si)];
-      ds.requests += batch.size();
-      ds.batches += 1;
-      ds.modelled_ms += shard_ms[static_cast<std::size_t>(si)] +
-                        shard_build_ms[static_cast<std::size_t>(si)];
-      completed_at = std::max(completed_at, ds.modelled_ms);
-      makespan_ms =
-          std::max(makespan_ms, shard_ms[static_cast<std::size_t>(si)]);
-      (shard_hit[static_cast<std::size_t>(si)] ? ds.plan_cache_hits
-                                               : ds.plan_cache_misses) += 1;
-      (shard_hit[static_cast<std::size_t>(si)] ? stats_.plan_cache_hits
-                                               : stats_.plan_cache_misses) += 1;
-      stats_.modelled_ms += shard_ms[static_cast<std::size_t>(si)] +
-                            shard_build_ms[static_cast<std::size_t>(si)];
-      stats_.plan_build_ms += shard_build_ms[static_cast<std::size_t>(si)];
-    }
-    virtual_now_ms_ = std::max(virtual_now_ms_, completed_at);
-    stats_.completed += batch.size();
-    stats_.batches += 1;
-    stats_.shard_launches += static_cast<std::uint64_t>(num_shards);
-    stats_.gather_ms += gather_total_ms;
-    if (batch.size() > 1) stats_.coalesced_requests += batch.size();
-    for (const auto& r : batch) {
-      TenantServeStats& ts = stats_.tenants[r->tenant];
-      ++ts.completed;
-      ts.served_width += static_cast<std::uint64_t>(r->sched_width);
-      if (r->deadline_ms > 0.0 && completed_at > r->deadline_ms) {
-        ++stats_.deadline_missed;
-      }
-    }
-  }
-
-  index_t col0 = 0;
-  for (const auto& r : batch) {
-    const index_t n_r = r->b.cols();
-    RequestResult res;
-    res.c = split_result(c_all, batch.size(), col0, n_r);
-    col0 += n_r;
-    res.status = RequestStatus::Ok;
-    res.priority = r->priority;
-    res.tenant = r->tenant_name;
-    res.algo = algo0;
-    res.plan_steps = steps0;
-    res.device = opt_.devices.front().name;
-    res.modelled_ms = makespan_ms * n_r / total_n;
-    res.completed_at_ms = completed_at;
-    res.deadline_ms = r->deadline_ms;
-    res.deadline_met = r->deadline_ms <= 0.0 || completed_at <= r->deadline_ms;
-    res.plan_cache_hit = all_hit;
-    res.batch_size = static_cast<int>(batch.size());
-    res.shards = num_shards;
-    r->fulfill(std::move(res));
-  }
-}
-
-void Engine::execute_model(std::shared_ptr<detail::RequestState> state,
-                           std::size_t device_index) {
+void Engine::execute_model(Batch batch, std::size_t device_index) {
+  detail::RequestState& state = *batch.front();
   const gpusim::DeviceSpec& dev = opt_.devices[device_index];
-  const RegisteredModel& m = *state->model;
-  const Csr& a = *state->graph;
+  const RegisteredModel& m = *state.model;
+  const Csr& a = *state.graph;
   const gnn::DeviceCost cost(dev);
 
   // One arena per pass: hidden layers share widths, so after the first
   // layer every intermediate comes out of the pool instead of a fresh
   // allocation (ModelPlan::max_width bounds each slot).
   ModelArena arena;
-  DenseMatrix h = std::move(state->b);
-  double fused_ms = 0.0;
+  DenseMatrix h = std::move(state.b);
   double composed_ms = 0.0;
-  std::uint64_t layer_hits = 0;
-  std::uint64_t layer_misses = 0;
-  double build_total_ms = 0.0;
-  SpmmAlgo algo = SpmmAlgo::GeSpMM;
-  std::vector<PlanStep> last_steps;
+  Charge::Device device{device_index};
+  RequestResult shared;
   for (std::size_t l = 0; l < m.plan.layers.size(); ++l) {
     const LayerStep& s = m.plan.layers[l];
     // Per-layer plan reuse: the aggregation keys into the same PlanCache
@@ -911,12 +781,12 @@ void Engine::execute_model(std::shared_ptr<detail::RequestState> state,
     // one autotuned plan. The lease pins it for the layer's duration.
     const PlanKey key{m.plan.graph_key, dev.name, s.spmm_width, s.reduce};
     const PlanLease lease = plan_cache_.acquire(key, a, dev);
-    (lease.hit() ? layer_hits : layer_misses) += 1;
-    if (!lease.hit()) build_total_ms += lease->build_ms;
-    algo = lease->algo;
-    last_steps = lease->steps;
+    (lease.hit() ? device.hits : device.misses) += 1;
+    if (!lease.hit()) device.build_ms += lease->build_ms;
+    shared.algo = lease->algo;
+    shared.plan_steps = lease->steps;
     const LayerCost lc = price_layer(s, a.rows, lease->modelled_ms, cost);
-    fused_ms += lc.fused_ms;
+    device.modelled_ms += lc.fused_ms;
     composed_ms += lc.composed_ms;
 
     DenseMatrix out = arena.take(a.rows, s.out_width);
@@ -925,55 +795,78 @@ void Engine::execute_model(std::shared_ptr<detail::RequestState> state,
     h = std::move(out);
   }
 
-  // Account before fulfilling, like execute_batch: the device's clock
-  // advances by the *fused* pass time — that is what serving pays.
+  // The device's clock advances by the *fused* pass time — that is what
+  // serving pays. Cold layer plans charge their selection cost on top (0
+  // under Predict), kept out of the result's modelled time, which stays
+  // the fused execution time.
+  Charge charge;
+  charge.devices.push_back(device);
+  charge.fused_saved_ms = composed_ms - device.modelled_ms;
+  shared.device = dev.name;
+  shared.modelled_ms = device.modelled_ms;
+  shared.composed_ms = composed_ms;
+  shared.model_layers = static_cast<int>(m.plan.layers.size());
+  account(batch, charge, shared);
+  fulfill(batch, h, shared);
+}
+
+void Engine::account(const Batch& batch, const Charge& charge, RequestResult& shared) {
+  // completed_at is the busiest participating device's cumulative
+  // modelled time including this batch — the virtual clock latency
+  // percentiles are computed over.
+  std::lock_guard<std::mutex> lock(mu_);
   double completed_at = 0.0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    DeviceServeStats& ds = stats_.devices[device_index];
-    ds.requests += 1;
+  bool plan_cache_hit = true;
+  for (const Charge::Device& c : charge.devices) {
+    plan_cache_hit = plan_cache_hit && c.misses == 0;
+    DeviceServeStats& ds = stats_.devices[c.index];
+    ds.requests += batch.size();
     ds.batches += 1;
-    // Cold layer plans charge their selection cost on top of the fused
-    // pass (0 under Predict); kept out of res.modelled_ms, which stays
-    // the fused execution time.
-    ds.modelled_ms += fused_ms + build_total_ms;
-    completed_at = ds.modelled_ms;
-    virtual_now_ms_ = std::max(virtual_now_ms_, completed_at);
-    ds.plan_cache_hits += layer_hits;
-    ds.plan_cache_misses += layer_misses;
-    stats_.completed += 1;
-    stats_.batches += 1;
-    stats_.plan_cache_hits += layer_hits;
-    stats_.plan_cache_misses += layer_misses;
-    stats_.modelled_ms += fused_ms + build_total_ms;
-    stats_.plan_build_ms += build_total_ms;
-    stats_.fused_saved_ms += composed_ms - fused_ms;
-    TenantServeStats& ts = stats_.tenants[state->tenant];
+    ds.modelled_ms += c.modelled_ms + c.build_ms;
+    completed_at = std::max(completed_at, ds.modelled_ms);
+    ds.plan_cache_hits += c.hits;
+    ds.plan_cache_misses += c.misses;
+    stats_.plan_cache_hits += c.hits;
+    stats_.plan_cache_misses += c.misses;
+    stats_.modelled_ms += c.modelled_ms + c.build_ms;
+    stats_.plan_build_ms += c.build_ms;
+  }
+  virtual_now_ms_ = std::max(virtual_now_ms_, completed_at);
+  stats_.completed += batch.size();
+  stats_.batches += 1;
+  if (batch.size() > 1) stats_.coalesced_requests += batch.size();
+  stats_.shard_launches += charge.shard_launches;
+  stats_.gather_ms += charge.gather_ms;
+  stats_.fused_saved_ms += charge.fused_saved_ms;
+  for (const auto& r : batch) {
+    TenantServeStats& ts = stats_.tenants[r->tenant];
     ++ts.completed;
-    ts.served_width += static_cast<std::uint64_t>(state->sched_width);
-    if (state->deadline_ms > 0.0 && completed_at > state->deadline_ms) {
+    ts.served_width += static_cast<std::uint64_t>(r->sched_width);
+    if (r->deadline_ms > 0.0 && completed_at > r->deadline_ms) {
       ++stats_.deadline_missed;
     }
   }
+  shared.completed_at_ms = completed_at;
+  shared.plan_cache_hit = plan_cache_hit;
+}
 
-  RequestResult res;
-  res.status = RequestStatus::Ok;
-  res.priority = state->priority;
-  res.tenant = state->tenant_name;
-  res.c = std::move(h);
-  res.algo = algo;
-  res.plan_steps = std::move(last_steps);
-  res.device = dev.name;
-  res.modelled_ms = fused_ms;
-  res.composed_ms = composed_ms;
-  res.completed_at_ms = completed_at;
-  res.deadline_ms = state->deadline_ms;
-  res.deadline_met =
-      state->deadline_ms <= 0.0 || completed_at <= state->deadline_ms;
-  res.plan_cache_hit = layer_misses == 0;
-  res.batch_size = 1;
-  res.model_layers = static_cast<int>(m.plan.layers.size());
-  state->fulfill(std::move(res));
+void Engine::fulfill(const Batch& batch, DenseMatrix& c_all, const RequestResult& shared) {
+  const index_t total_n = c_all.cols();
+  index_t col0 = 0;
+  for (const auto& r : batch) {
+    const index_t n_r = r->b.cols();
+    RequestResult res = shared;
+    res.c = split_result(c_all, batch.size(), col0, n_r);
+    col0 += n_r;
+    res.priority = r->priority;
+    res.tenant = r->tenant_name;
+    // A model pass is a whole request and reports its whole fused time.
+    if (res.model_layers == 0) res.modelled_ms = shared.modelled_ms * n_r / total_n;
+    res.deadline_ms = r->deadline_ms;
+    res.deadline_met = r->deadline_ms <= 0.0 || res.completed_at_ms <= r->deadline_ms;
+    res.batch_size = static_cast<int>(batch.size());
+    r->fulfill(std::move(res));
+  }
 }
 
 }  // namespace gespmm::serve

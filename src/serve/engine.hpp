@@ -7,7 +7,8 @@
 ///
 /// Request lifecycle:
 ///  1. `register_graph` fingerprints a CSR operand and stores it once
-///     (re-registering an identical operand returns the existing handle).
+///     (re-registering an identical operand returns the existing handle,
+///     unless `apply_update` has since moved that graph's content on).
 ///     An operand whose footprint exceeds the device capacity is
 ///     row-partitioned across the whole device group at registration time
 ///     (see shard.hpp and `ShardingOptions`);
@@ -24,15 +25,16 @@
 ///     share — see scheduler.hpp), coalescing same-graph same-reduce
 ///     same-tenant requests into one multi-feature SpMM and
 ///     round-robining batches across the configured simulated devices;
-///  4. each batch executes through a `PlanCache`d kernel plan (LRU-
-///     bounded, pinned while the batch is in flight): values are computed
-///     on the host (bitwise identical to per-request `gespmm::spmm`,
-///     column order is preserved), device time is the plan's
-///     block-sampled modelled time. A batch on a *sharded* graph runs
-///     scatter/gather instead: every shard's slice executes on its own
-///     device in parallel (each with its own shard-qualified plan), halo
-///     rows of B are priced as a modelled interconnect gather, and the
-///     merged output is bitwise identical to the unsharded kernel;
+///  4. each batch executes as a list of kernel launches, each through a
+///     `PlanCache`d kernel plan (LRU-bounded, pinned while the launch
+///     runs): values are computed on the host (bitwise identical to
+///     per-request `gespmm::spmm`, column order is preserved), device time
+///     is the plan's block-sampled modelled time. An unsharded graph is
+///     one launch on the round-robin device; a *sharded* graph is one
+///     launch per row slice, each on its own device in parallel (each with
+///     its own shard-qualified plan), with halo rows of B priced as a
+///     modelled interconnect gather and the merged output bitwise
+///     identical to the unsharded kernel;
 ///  5. `Ticket::wait` blocks for the request's `RequestResult`.
 ///
 /// Model serving (`register_model` / `submit_model`) promotes the unit of
@@ -79,7 +81,6 @@
 #include <vector>
 
 #include "serve/admission.hpp"
-#include "serve/batch.hpp"
 #include "serve/delta.hpp"
 #include "serve/fingerprint.hpp"
 #include "serve/model_plan.hpp"
@@ -114,7 +115,7 @@ struct ServeOptions {
   std::vector<gpusim::DeviceSpec> devices;
   /// Worker threads draining the queue.
   int num_workers = 2;
-  /// Coalescing limits (see batch.hpp).
+  /// Coalescing limits (see scheduler.hpp).
   BatchConstraints batch;
   /// Plan construction + retention policy (see plan_cache.hpp).
   PlanCacheOptions plan;
@@ -168,14 +169,17 @@ struct SubmitOptions {
 /// Handle to a registered graph; cheap to copy, valid for the engine's
 /// lifetime.
 struct GraphId {
-  /// GraphFingerprint::key() of the operand.
+  /// Stable opaque handle. It does not track the graph's content: see
+  /// `Engine::graph_fingerprint` for the current identity.
   std::uint64_t key = 0;
 };
 
 /// Handle to a registered model; cheap to copy, valid for the engine's
 /// lifetime.
 struct ModelId {
-  /// ModelPlan::key — content fingerprint over (graph, kind, parameters).
+  /// Stable opaque handle: the ModelPlan::key the model was first
+  /// compiled under, unless an update-rebound model still holds that
+  /// value. It does not track the model's current plan.
   std::uint64_t key = 0;
 };
 
@@ -295,8 +299,9 @@ struct RequestState {
   std::uint64_t graph_key = 0;
   std::uint64_t seq = 0;
   std::shared_ptr<const Csr> graph;
-  /// Pending edge overlay snapshot (nullptr when the graph is clean);
-  /// execute_batch merges its touched rows over the base kernel's output.
+  /// Pending edge overlay snapshot (nullptr when the graph is clean or
+  /// sharded — shard slices already hold the updated rows); the engine
+  /// merges its touched rows over the base kernel's output.
   std::shared_ptr<const DeltaOverlay> overlay;
   /// Set when the graph is sharded: the execution plan for the scatter/
   /// gather path.
@@ -408,7 +413,9 @@ struct EngineStats {
   /// a compaction re-plan).
   std::uint64_t shards_replanned = 0;
   /// Stale plan-cache entries erased by targeted invalidation — mirrored
-  /// from PlanCacheStats::invalidations.
+  /// from PlanCacheStats::invalidations because the perfbench harness
+  /// reads it from here. The other plan counters are only in
+  /// `Engine::plan_cache().stats()`.
   std::uint64_t plan_invalidations = 0;
   std::uint64_t models_registered = 0;
   /// register_model() calls answered by an identical registered model.
@@ -446,17 +453,6 @@ struct EngineStats {
   /// requesting device's clock (see CachedPlan::build_ms). 0 under the
   /// default Predict selection mode; included in `modelled_ms`.
   double plan_build_ms = 0.0;
-  /// Plan-selection telemetry mirrored from the plan cache (see
-  /// PlanCacheStats): tuner builds decided by the trained predictor vs.
-  /// the exact sweep, retune escalations, and confirmed mispredicts —
-  /// the online-refinement feedback loop's counters.
-  std::uint64_t plan_predicted_builds = 0;
-  std::uint64_t plan_exact_builds = 0;
-  std::uint64_t plan_retunes = 0;
-  std::uint64_t plan_mispredicts = 0;
-  /// Fresh plan builds that compiled to a multi-step (density-partitioned
-  /// hybrid) plan — mirrored from PlanCacheStats::hybrid_builds.
-  std::uint64_t plan_hybrid_builds = 0;
   /// Total modelled device time across all batches (ms) — the serving
   /// cost metric bench_serve_throughput compares across policies. Equals
   /// the sum of the per-device clocks; concurrent-device wall time is the
@@ -484,11 +480,13 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   /// Validate + fingerprint `a` and store it (one copy per distinct
-  /// operand; identical re-registrations dedup). An operand larger than
-  /// the per-device capacity (see ShardingOptions) is row-partitioned
-  /// across all configured devices; throws std::runtime_error when it
-  /// cannot be made to fit (single device, or a shard still oversized).
-  /// Throws std::runtime_error on malformed CSR.
+  /// operand; identical re-registrations dedup against a graph still at
+  /// its registered state — once `apply_update` has changed that graph,
+  /// the same content registers afresh under a new handle). An operand
+  /// larger than the per-device capacity (see ShardingOptions) is
+  /// row-partitioned across all configured devices; throws
+  /// std::runtime_error when it cannot be made to fit (single device, or
+  /// a shard still oversized). Throws std::runtime_error on malformed CSR.
   GraphId register_graph(const Csr& a);
 
   /// The *effective* operand for `id`: the registered CSR with any
@@ -584,13 +582,12 @@ class Engine {
   const ServeOptions& options() const { return opt_; }
 
  private:
-  /// A registered operand. The registry key is the *registration*
-  /// fingerprint key (stable, what GraphId carries); `fp`/`current_key`
-  /// roll forward with updates and are the identity plans and batches
-  /// form under. Between compactions `csr` stays the last compacted base
-  /// and `overlay` holds the pending touched rows; shard slices (when
-  /// sharded) are rebuilt eagerly per update, so they always hold
-  /// effective content.
+  /// A registered operand. The registry key is the stable handle GraphId
+  /// carries (see registry_slot); `fp`/`current_key` roll forward with
+  /// updates and are the identity plans and batches form under. Between
+  /// compactions `csr` stays the last compacted base and `overlay` holds
+  /// the pending touched rows; shard slices (when sharded) are rebuilt
+  /// eagerly per update, so they always hold effective content.
   struct RegisteredGraph {
     std::shared_ptr<const Csr> csr;
     std::shared_ptr<const ShardPlan> shards;    // nullptr when unsharded
@@ -599,13 +596,55 @@ class Engine {
     std::uint64_t current_key = 0;  // fp.key() (cached)
   };
 
+  using Batch = std::vector<std::shared_ptr<detail::RequestState>>;
+
+  /// What one executed batch charges the engine's clocks and counters.
+  struct Charge {
+    /// One device's share: its modelled execution time (kernel plus halo
+    /// gather, or a model's fused pass), the selection cost of its cold
+    /// plans, and its plan-cache hits and misses.
+    struct Device {
+      std::size_t index = 0;
+      double modelled_ms = 0.0;
+      double build_ms = 0.0;
+      std::uint64_t hits = 0;
+      std::uint64_t misses = 0;
+    };
+    std::vector<Device> devices;
+    double gather_ms = 0.0;
+    std::uint64_t shard_launches = 0;
+    double fused_saved_ms = 0.0;
+  };
+
   void worker_loop();
-  void execute_batch(std::vector<std::shared_ptr<detail::RequestState>> batch,
-                     std::size_t device_index);
-  void execute_sharded_batch(
-      std::vector<std::shared_ptr<detail::RequestState>> batch);
-  void execute_model(std::shared_ptr<detail::RequestState> state,
-                     std::size_t device_index);
+  /// Run one SpMM batch as a list of launches: the whole CSR on
+  /// `device_index`, or one launch per shard on its own device.
+  void execute_spmm(Batch batch, std::size_t device_index);
+  /// Run one model request (a singleton batch) layer by layer.
+  void execute_model(Batch batch, std::size_t device_index);
+  /// Charge a finished batch to the device clocks, plan-cache, tenant and
+  /// deadline counters, and stamp `shared` with the batch's completion
+  /// time and plan-cache outcome (a hit when no device missed). Runs
+  /// before any ticket is fulfilled, so a ready ticket's batch is in
+  /// stats().
+  void account(const Batch& batch, const Charge& charge, RequestResult& shared);
+  /// Fulfil every ticket of a batch: request i gets its columns of
+  /// `c_all` and `shared`'s metadata, with a plain request's modelled time
+  /// prorated by its share of the batch width.
+  static void fulfill(const Batch& batch, DenseMatrix& c_all,
+                      const RequestResult& shared);
+  /// Admit or shed a validated request; call under mu_. Returns
+  /// ShedReason::None once the request is queued.
+  ShedReason admit(const std::shared_ptr<detail::RequestState>& state);
+  /// Wake a worker for a queued request, or complete a shed one now.
+  Ticket finish_submit(std::shared_ptr<detail::RequestState> state, ShedReason shed);
+  /// The registry handle for a freshly fingerprinted operand `fp`: the
+  /// first handle from its classic key upwards that is free or holds a
+  /// graph still at exactly this registered state. Sets `fp.lineage` to
+  /// the handle's offset. Call under mu_.
+  std::uint64_t registry_slot(GraphFingerprint& fp) const;
+  /// Per-device CSR residency budget (see ShardingOptions).
+  std::size_t device_capacity() const;
   /// Tenant index for `name`; throws std::invalid_argument when unknown.
   std::uint32_t tenant_index(const std::string& name) const;
   /// The effective CSR of `g` (base with any overlay folded in). Call
@@ -635,7 +674,7 @@ class Engine {
 
   // Graph registry (guarded by mu_).
   std::map<std::uint64_t, RegisteredGraph> graphs_;
-  // Model registry, keyed by ModelPlan::key (guarded by mu_).
+  // Model registry, keyed by ModelId (guarded by mu_).
   std::map<std::uint64_t, std::shared_ptr<const RegisteredModel>> models_;
 
   // Counters (guarded by mu_). stats_.tenants carries the live per-tenant

@@ -22,8 +22,11 @@ std::uint64_t GraphFingerprint::key() const {
   h = mix64(h, static_cast<std::uint64_t>(nnz));
   h = mix64(h, histogram_hash);
   h = mix64(h, content_hash);
-  // Version 0 keeps the classic four-field key so static-graph keys (and
-  // the absolute key goldens) are unchanged by the versioning feature.
+  // Lineage and version 0 keep the classic four-field key so static-graph
+  // keys (and the absolute key goldens) are unchanged by either feature.
+  // The lineage mix is domain-separated from the version mix, so lineage
+  // k at version 0 never meets lineage 0 at version k.
+  if (lineage != 0) h = mix64(h ^ 0x6c696e65616765ull, lineage);  // "lineage"
   if (version != 0) h = mix64(h, version);
   return h;
 }
@@ -32,6 +35,7 @@ std::string GraphFingerprint::str() const {
   std::ostringstream os;
   os << rows << "x" << cols << ", nnz=" << nnz << ", hist=" << std::hex
      << histogram_hash << ", content=" << content_hash;
+  if (lineage != 0) os << ", lineage=" << lineage;
   if (version != 0) os << std::dec << ", v=" << version;
   return os.str();
 }

@@ -45,19 +45,27 @@ struct GraphFingerprint {
   /// Monotonically bumped by every `Engine::apply_update` against the
   /// graph (and never reset, not even by compaction), so plan-cache and
   /// model keys derived from `key()` self-invalidate across updates.
-  /// 0 for a freshly fingerprinted operand: a version-0 key is exactly
-  /// the classic four-field key, keeping pre-versioning goldens (and
+  /// 0 for a freshly fingerprinted operand: a version-0, lineage-0 key is
+  /// exactly the classic four-field key, keeping pre-versioning goldens (and
   /// cross-engine key stability for static graphs) intact. Between
   /// compactions only `version` moves — the structural fields refresh at
   /// the next compaction, where the O(nnz) pass is paid anyway.
   std::uint64_t version = 0;
+  /// Offset of the registered graph's handle from the classic key of the
+  /// structural fields above (`GraphId::key == classic key + lineage`).
+  /// 0 for a fresh operand and an operand's first registration. A later
+  /// registration of the same content probes to a higher handle, and a
+  /// compaction refreshes the structural fields; either way the offset
+  /// turns non-zero. Handles are unique, so two live graphs never share
+  /// a key, whatever their content and version.
+  std::uint64_t lineage = 0;
 
   /// Single 64-bit key for hash maps; mixes all structural fields, plus
-  /// `version` when non-zero.
+  /// `lineage` and `version` when non-zero.
   std::uint64_t key() const;
 
-  /// "rows x cols, nnz=…, hist=…, content=…[, v=…]" — for logs and stats
-  /// dumps.
+  /// "rows x cols, nnz=…, hist=…, content=…[, lineage=…][, v=…]" — for
+  /// logs and stats dumps.
   std::string str() const;
 
   bool operator==(const GraphFingerprint&) const = default;

@@ -85,8 +85,9 @@ struct LayerStep {
 /// A compiled model: the execution-plan graph `Engine::submit_model`
 /// dispatches as one ticket.
 struct ModelPlan {
-  /// Content fingerprint over (graph, kind, reduce, parameters) — the
-  /// model registry key; identical re-registrations dedup on it.
+  /// Content fingerprint over (graph, kind, reduce, parameters):
+  /// identical re-registrations dedup on it, and a new model's ModelId
+  /// starts from it.
   std::uint64_t key = 0;
   /// GraphFingerprint::key() of the registered adjacency operand — the
   /// *versioned* key when the graph has taken streaming updates. An

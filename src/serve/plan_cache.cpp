@@ -72,14 +72,7 @@ std::shared_ptr<CachedPlan> PlanCache::build(const PlanKey& key, const Csr& a,
     ro.reduce = key.reduce;
     if (plan->algo == SpmmAlgo::HybridMma) {
       const auto d = kernels::run_spmm_hybrid_detailed(p, ro);
-      if (d.dense_rows > 0) {
-        plan->steps.push_back(PlanStep{SpmmAlgo::HybridMma, StepPipe::Mma, 0,
-                                       d.dense_rows, d.dense_ms});
-      }
-      if (d.dense_rows < a.rows) {
-        plan->steps.push_back(PlanStep{SpmmAlgo::HybridMma, StepPipe::Simt,
-                                       d.dense_rows, a.rows, d.ragged_ms});
-      }
+      plan->steps = hybrid_step_plan(d.dense_rows, a.rows, d.dense_ms, d.ragged_ms);
       plan->modelled_ms = plan_steps_time_ms(plan->steps);
     } else {
       plan->modelled_ms = kernels::run_spmm(plan->algo, p, ro).time_ms();

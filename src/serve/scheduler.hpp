@@ -21,9 +21,13 @@
 ///
 /// Within one queue, requests order by (priority, admission seq):
 /// interactive before batch before best-effort, FIFO inside a class.
-/// Batches still only coalesce same-reduce requests (column independence
-/// requires one semiring per kernel launch); incompatible requests are
-/// skipped, not blocked, exactly like the v1 policy in batch.hpp.
+/// Batches only coalesce same-reduce requests: requests on one graph are
+/// column-wise independent, so their feature matrices concatenate into
+/// one B answered by a single kernel launch (the batching opportunity of
+/// "Batched Sparse Matrix Multiplication for Accelerating Graph
+/// Convolutional Networks", IPDPS 2019), but one launch runs one
+/// semiring. Incompatible requests are skipped, not blocked: a compatible
+/// request may ride along from behind them.
 /// Requests from different tenants never share a batch — their queues are
 /// distinct — so per-tenant served-width accounting stays exact.
 ///
@@ -34,16 +38,27 @@
 /// threaded by design; the engine guards it with its queue lock.
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <utility>
 #include <vector>
 
+#include "core/gespmm.hpp"
 #include "serve/admission.hpp"
-#include "serve/batch.hpp"
 
 namespace gespmm::serve {
+
+/// Coalescing limits.
+struct BatchConstraints {
+  /// Widest dense matrix a single batch may accumulate. Bounds both the
+  /// coalesced B's footprint and per-request latency; a request wider
+  /// than this still runs, alone.
+  index_t max_batch_n = 256;
+  /// Most requests one batch may carry (bounds result-splitting work).
+  std::size_t max_batch_requests = 16;
+};
 
 /// Which policy picks the next batch.
 enum class SchedulePolicy {

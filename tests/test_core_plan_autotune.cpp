@@ -1,10 +1,10 @@
-/// SpmmPlan and the CF autotuner, plus the ELLPACK-R kernel's correctness
-/// and its padding-driven failure mode on skewed graphs.
+/// Learned kernel selection and the CF autotuner, plus the ELLPACK-R
+/// kernel's correctness and its padding-driven failure mode on skewed
+/// graphs.
 
 #include <gtest/gtest.h>
 
 #include "core/autotune.hpp"
-#include "core/plan.hpp"
 #include "kernels/spmm_ell.hpp"
 #include "sparse/datasets.hpp"
 #include "test_util.hpp"
@@ -12,50 +12,12 @@
 namespace gespmm {
 namespace {
 
-TEST(SpmmPlan, RunMatchesDirectSpmm) {
-  const Csr a = sparse::uniform_random(256, 256, 2048, 501);
-  SpmmPlan plan(a);
-  DenseMatrix b(256, 48), c_plan(256, 48), c_direct(256, 48);
-  kernels::fill_random(b, 1);
-  plan.run(b, c_plan);
-  spmm(a, b, c_direct);
-  EXPECT_LT(c_plan.max_abs_diff(c_direct), 1e-6);
-}
-
-TEST(SpmmPlan, ValidatesMatrixAndShapes) {
-  Csr bad = sparse::uniform_random(16, 16, 64, 502);
-  bad.rowptr[4] = 9999;
-  EXPECT_THROW(SpmmPlan{bad}, std::runtime_error);
-
-  SpmmPlan plan(sparse::uniform_random(16, 16, 64, 503));
-  DenseMatrix b(8, 4), c(16, 4);
-  EXPECT_THROW(plan.run(b, c), std::invalid_argument);
-}
-
-TEST(SpmmPlan, CachesProfilesPerShape) {
-  SpmmPlan plan(sparse::uniform_random(2048, 2048, 16384, 504));
-  const double t1 = plan.time_ms(64);
-  const double t2 = plan.time_ms(64);
-  EXPECT_DOUBLE_EQ(t1, t2);
-  EXPECT_GT(plan.time_ms(512), t1);  // more columns, more time
-}
-
-TEST(SpmmPlan, AccumulatesTimeAcrossRuns) {
-  SpmmPlan plan(sparse::uniform_random(512, 512, 4096, 505));
-  DenseMatrix b(512, 32), c(512, 32);
-  kernels::fill_random(b, 2);
-  EXPECT_DOUBLE_EQ(plan.accumulated_time_ms(), 0.0);
-  plan.run(b, c);
-  const double once = plan.accumulated_time_ms();
-  EXPECT_GT(once, 0.0);
-  plan.run(b, c);
-  EXPECT_NEAR(plan.accumulated_time_ms(), 2 * once, 1e-12);
-}
-
-TEST(SpmmPlan, AdaptiveAlgoSelection) {
-  SpmmPlan plan(sparse::uniform_random(64, 64, 256, 506));
-  EXPECT_EQ(plan.algo_for(16), SpmmAlgo::Crc);
-  EXPECT_EQ(plan.algo_for(256), SpmmAlgo::CrcCwm2);
+TEST(SelectSpmmAlgo, AdaptiveAlgoSelection) {
+  // The paper's width rule on a matrix with no dense rows: CRC up to one
+  // warp of columns, CRC+CWM with CF=2 beyond.
+  const Csr a = sparse::uniform_random(64, 64, 256, 506);
+  EXPECT_EQ(select_spmm_algo(a, 16, gpusim::gtx1080ti()), SpmmAlgo::Crc);
+  EXPECT_EQ(select_spmm_algo(a, 256, gpusim::gtx1080ti()), SpmmAlgo::CrcCwm2);
 }
 
 // These sweep tests request SelectionMode::Exact explicitly: the default

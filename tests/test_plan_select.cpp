@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "core/autotune.hpp"
@@ -358,16 +359,16 @@ TEST(ServeEngineSelection, ColdMissChargesSweepCostOnlyInExactMode) {
     eng.shutdown();
     t1.wait();
     t2.wait();
-    return eng.stats();
+    return std::make_pair(eng.stats(), eng.plan_cache().stats());
   };
 
-  const auto exact = run(SelectionMode::Exact);
-  const auto pred = run(SelectionMode::Predict);
+  const auto [exact, exact_plans] = run(SelectionMode::Exact);
+  const auto [pred, pred_plans] = run(SelectionMode::Predict);
 
   EXPECT_GT(exact.plan_build_ms, 0.0) << "Exact cold miss pays the sweep";
   EXPECT_DOUBLE_EQ(pred.plan_build_ms, 0.0) << "Predict cold miss is free";
-  EXPECT_EQ(exact.plan_exact_builds, 1u);
-  EXPECT_EQ(pred.plan_predicted_builds, 1u);
+  EXPECT_EQ(exact_plans.exact_builds, 1u);
+  EXPECT_EQ(pred_plans.predicted_builds, 1u);
   EXPECT_EQ(exact.plan_cache_hits, 1u) << "second request rides the plan";
   // Identical kernels and pricing on this matrix, so the entire modelled
   // difference is the selection cost — charged once, not per request, and

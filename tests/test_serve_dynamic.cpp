@@ -206,7 +206,20 @@ TEST(FingerprintVersion, VersionZeroKeyIsTheClassicKey) {
   fp.version = 0;
   EXPECT_EQ(fp.key(), classic);
 
+  // The lineage salt is domain-separated from the version: lineage 1 at
+  // version 0 is neither lineage 0 at version 1 nor lineage 1 at version 1.
+  fp.lineage = 1;
+  const std::uint64_t l1 = fp.key();
+  EXPECT_NE(l1, classic);
+  EXPECT_NE(l1, v1);
+  fp.version = 1;
+  EXPECT_NE(fp.key(), v1);
+  EXPECT_NE(fp.key(), l1);
+  fp.lineage = 0;
+  fp.version = 0;
+
   EXPECT_EQ(serve::fingerprint(a).str().find("v="), std::string::npos);
+  EXPECT_EQ(serve::fingerprint(a).str().find("lineage="), std::string::npos);
   fp.version = 3;
   EXPECT_NE(fp.str().find("v=3"), std::string::npos);
 }
@@ -518,6 +531,135 @@ TEST(EngineDynamic, ShardedCompactionRepartitionsEverything) {
 // ---------------------------------------------------------------------------
 // Engine: model rebinding and in-flight snapshot isolation
 
+TEST(EngineDynamic, ReregisteringOriginalContentAfterAnUpdateServesTheOriginal) {
+  // After apply_update the graph under A's handle serves A'. Registering A
+  // again must not dedup onto it: A gets a fresh handle that serves A * B,
+  // and later registrations of A find that handle. Once the new handle is
+  // updated too, both graphs sit at version 1 of the same registered
+  // content, yet their requests must still never share a batch.
+  for (const bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "sharded" : "unsharded");
+    const Csr base = testutil::zoo_uniform();
+    Engine eng(sharded ? sharded_opts() : dynamic_opts());
+    const GraphId id = eng.register_graph(base);
+    EdgeBatch batch;
+    batch.inserts = {{0, 5, 2.0f}, {150, 3, -1.0f}};
+    eng.apply_update(id, batch);
+
+    const GraphId again = eng.register_graph(base);
+    EXPECT_NE(again.key, id.key);
+    EXPECT_EQ(eng.register_graph(base).key, again.key);
+    EXPECT_EQ(*eng.graph(again), base);
+    EXPECT_EQ(eng.shard_plan(again) != nullptr, sharded);
+    const auto st = eng.stats();
+    EXPECT_EQ(st.graphs_registered, 2u);
+    EXPECT_EQ(st.register_dedup_hits, 1u);
+
+    const DenseMatrix b = features(base.cols, 24, 61);
+    Ticket original = eng.submit(again, b);
+    EdgeBatch other;
+    other.inserts = {{1, 7, 3.0f}, {151, 4, -2.0f}};
+    eng.apply_update(again, other);
+    EXPECT_EQ(eng.graph_fingerprint(again).version, 1u);
+    EXPECT_NE(eng.graph_fingerprint(again).key(), eng.graph_fingerprint(id).key());
+    Ticket on_id = eng.submit(id, b);
+    Ticket on_again = eng.submit(again, b);
+    eng.shutdown();  // one worker drains the paused queue
+
+    EXPECT_TRUE(bitwise_equal(original.wait().c, reference_spmm(base, b)));
+    EXPECT_EQ(on_id.wait().batch_size, 1);
+    EXPECT_EQ(on_again.wait().batch_size, 1);
+    EXPECT_TRUE(bitwise_equal(on_id.wait().c, reference_spmm(*eng.graph(id), b)));
+    EXPECT_TRUE(bitwise_equal(on_again.wait().c, reference_spmm(*eng.graph(again), b)));
+    EXPECT_FALSE(bitwise_equal(original.wait().c, on_id.wait().c));
+    EXPECT_FALSE(bitwise_equal(on_id.wait().c, on_again.wait().c));
+  }
+}
+
+TEST(EngineDynamic, CompactedGraphKeepsApartFromASameContentRegistration) {
+  // Graph X compacts to content C at version 1. Graph Y registers C and
+  // takes one small update that does not compact, so it is at version 1
+  // too. Both fingerprints now hold C's structural fields at version 1;
+  // the lineage alone keeps their keys, and so their batches, apart.
+  const Csr base = testutil::zoo_uniform();
+  EdgeBatch big;
+  for (index_t i = 0; i < 12; ++i) big.inserts.push_back({i, 9, 0.5f});
+  const Csr compacted = DeltaOverlay::apply(base, nullptr, big)->materialize(base);
+  EdgeBatch small;
+  small.inserts = {{3, 3, 1.0f}};
+  const index_t small_nnz = DeltaOverlay::apply(compacted, nullptr, small)->overlay_nnz();
+  Engine eng([&] {
+    ServeOptions opt = dynamic_opts();
+    opt.delta.compact_nnz_fraction =
+        (static_cast<double>(small_nnz) + 0.5) / static_cast<double>(compacted.nnz());
+    return opt;
+  }());
+
+  const GraphId x = eng.register_graph(base);
+  ASSERT_TRUE(eng.apply_update(x, big).compacted);
+  ASSERT_EQ(*eng.graph(x), compacted);
+  const GraphId y = eng.register_graph(compacted);
+  ASSERT_NE(y.key, x.key);
+  ASSERT_FALSE(eng.apply_update(y, small).compacted);
+  const serve::GraphFingerprint fx = eng.graph_fingerprint(x);
+  const serve::GraphFingerprint fy = eng.graph_fingerprint(y);
+  EXPECT_EQ(fx.version, fy.version);
+  EXPECT_EQ(fx.content_hash, fy.content_hash);
+  EXPECT_NE(fx.key(), fy.key());
+
+  const DenseMatrix b = features(base.cols, 16, 62);
+  Ticket on_x = eng.submit(x, b);
+  Ticket on_y = eng.submit(y, b);
+  eng.shutdown();
+  EXPECT_EQ(on_x.wait().batch_size, 1);
+  EXPECT_EQ(on_y.wait().batch_size, 1);
+  EXPECT_TRUE(bitwise_equal(on_x.wait().c, reference_spmm(compacted, b)));
+  EXPECT_TRUE(bitwise_equal(on_y.wait().c, reference_spmm(*eng.graph(y), b)));
+}
+
+/// What a clean engine serves for `spec` over `g`: the model reference.
+DenseMatrix model_on_fresh_engine(const Csr& g, const serve::ModelSpec& spec,
+                                  const DenseMatrix& x) {
+  Engine ref(dynamic_opts());
+  const serve::ModelId mid = ref.register_model(ref.register_graph(g), spec);
+  Ticket t = ref.submit_model(mid, x);
+  ref.shutdown();
+  return t.wait().c;
+}
+
+TEST(EngineDynamic, ReregisteredGraphGetsItsOwnModel) {
+  // The update rebinds the model on A's handle to A' under its old
+  // ModelId. The same spec registered on a re-registration of A must
+  // compile a new model over A, not hand back the rebound one.
+  const Csr base = sparse::uniform_random(48, 48, 384, 806);
+  const serve::ModelSpec spec =
+      serve::make_model_spec(serve::ServedModelKind::Gcn, 8, 8, 4, 2);
+  const DenseMatrix x = features(48, 8, 48);
+
+  Engine eng(dynamic_opts());
+  const GraphId gid = eng.register_graph(base);
+  const serve::ModelId mid = eng.register_model(gid, spec);
+  EdgeBatch batch;
+  batch.inserts = {{0, 1, 1.5f}, {5, 9, -2.0f}};
+  eng.apply_update(gid, batch);
+
+  const GraphId again = eng.register_graph(base);
+  ASSERT_NE(again.key, gid.key);
+  const serve::ModelId fresh = eng.register_model(again, spec);
+  EXPECT_NE(fresh.key, mid.key);
+  EXPECT_EQ(*eng.model(fresh)->graph, base);
+  EXPECT_EQ(eng.stats().models_registered, 2u);
+  EXPECT_EQ(eng.stats().model_register_dedup_hits, 0u);
+
+  Ticket on_fresh = eng.submit_model(fresh, x);
+  Ticket on_rebound = eng.submit_model(mid, x);
+  eng.shutdown();
+  EXPECT_TRUE(bitwise_equal(on_fresh.wait().c, model_on_fresh_engine(base, spec, x)));
+  EXPECT_TRUE(
+      bitwise_equal(on_rebound.wait().c, model_on_fresh_engine(*eng.graph(gid), spec, x)));
+  EXPECT_FALSE(bitwise_equal(on_fresh.wait().c, on_rebound.wait().c));
+}
+
 TEST(EngineDynamic, ModelRebindsUnderStableHandleAndInflightSnapshotSurvives) {
   const Csr base = sparse::uniform_random(48, 48, 384, 806);
   const serve::ModelSpec spec =
@@ -525,14 +667,7 @@ TEST(EngineDynamic, ModelRebindsUnderStableHandleAndInflightSnapshotSurvives) {
   const DenseMatrix x = features(48, 8, 47);
 
   // Baselines: the same model served over the pre- and post-update graph.
-  const auto model_fresh = [&](const Csr& g) {
-    Engine ref(dynamic_opts());
-    const GraphId gid = ref.register_graph(g);
-    const serve::ModelId mid = ref.register_model(gid, spec);
-    Ticket t = ref.submit_model(mid, x);
-    ref.shutdown();
-    return t.wait().c;
-  };
+  const auto model_fresh = [&](const Csr& g) { return model_on_fresh_engine(g, spec, x); };
 
   Engine eng(dynamic_opts());
   const GraphId gid = eng.register_graph(base);

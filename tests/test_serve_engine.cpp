@@ -5,19 +5,21 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <iterator>
 #include <thread>
 
 #include "core/gespmm.hpp"
+#include "serve/delta.hpp"
 #include "serve/engine.hpp"
+#include "serve/model_plan.hpp"
 #include "test_util.hpp"
 
 namespace gespmm {
 namespace {
 
-using serve::BatchConstraints;
 using serve::Engine;
 using serve::GraphId;
-using serve::RequestShape;
 using serve::ServeOptions;
 using serve::Ticket;
 
@@ -125,32 +127,6 @@ TEST(Fingerprint, RowLengthBucketBoundaryGoldens) {
   const Csr stair = sparse::csr_from_triplets(4, 16, r, c, v);
   EXPECT_EQ(serve::fingerprint(stair).histogram_hash, 0xe095d61fb44338bfull);
   EXPECT_EQ(serve::fingerprint(stair).key(), 0x146e335994fc747dull);
-}
-
-TEST(BatchPlanner, CoalescesSameGraphWithinLimits) {
-  const std::uint64_t g1 = 11, g2 = 22;
-  const auto sum = kernels::ReduceKind::Sum;
-  const auto max = kernels::ReduceKind::Max;
-  BatchConstraints lim;
-  lim.max_batch_n = 96;
-  lim.max_batch_requests = 3;
-
-  // Anchor g1; the g2 request is skipped, later g1 requests ride along up
-  // to the width cap (32+32+16 = 80 <= 96; the final 32 would exceed the
-  // request cap anyway).
-  std::vector<RequestShape> q = {{g1, 32, sum}, {g2, 32, sum}, {g1, 32, sum},
-                                 {g1, 16, sum}, {g1, 32, sum}};
-  EXPECT_EQ(serve::plan_batch(q, lim), (std::vector<std::size_t>{0, 2, 3}));
-
-  // Differing reductions never coalesce.
-  std::vector<RequestShape> mixed = {{g1, 32, sum}, {g1, 32, max}, {g1, 32, sum}};
-  EXPECT_EQ(serve::plan_batch(mixed, lim), (std::vector<std::size_t>{0, 2}));
-
-  // A request wider than max_batch_n still ships, alone.
-  std::vector<RequestShape> wide = {{g1, 256, sum}, {g1, 8, sum}};
-  EXPECT_EQ(serve::plan_batch(wide, lim), (std::vector<std::size_t>{0}));
-
-  EXPECT_TRUE(serve::plan_batch(std::vector<RequestShape>{}, lim).empty());
 }
 
 TEST(ServeEngine, RegisterDedupsIdenticalGraphs) {
@@ -412,6 +388,24 @@ TEST(ServeEngine, RoundRobinSpreadsBatchesAcrossDevices) {
   EXPECT_GT(st.devices[1].modelled_ms, 0.0);
 }
 
+TEST(ServeEngine, UnshardedBatchesNeverPriceTheInterconnect) {
+  // A single device with no interconnect: only halo rows of a sharded
+  // launch cross it, so unsharded batches stay finite and gather nothing.
+  ServeOptions opt = deterministic_opts();
+  opt.sharding.interconnect_gbps = 0.0;
+  Engine eng(opt);
+  const Csr a = sparse::uniform_random(128, 128, 1024, 992);
+  Ticket t = eng.submit(eng.register_graph(a), features(a.cols, 16, 993));
+  eng.shutdown();
+
+  EXPECT_TRUE(std::isfinite(t.wait().modelled_ms));
+  EXPECT_GT(t.wait().modelled_ms, 0.0);
+  const auto st = eng.stats();
+  EXPECT_EQ(st.gather_ms, 0.0);
+  EXPECT_EQ(st.modelled_ms, st.devices[0].modelled_ms);
+  EXPECT_TRUE(std::isfinite(st.modelled_ms));
+}
+
 TEST(ServeEngine, SubmitValidatesShapesAndHandles) {
   Engine eng(deterministic_opts());
   const Csr a = sparse::uniform_random(32, 48, 200, 995);
@@ -426,6 +420,176 @@ TEST(ServeEngine, SubmitValidatesShapesAndHandles) {
   Ticket ok = eng.submit(id, features(48, 4, 996));
   eng.shutdown();
   EXPECT_EQ(ok.wait().c.rows(), 32);
+}
+
+// ---------------------------------------------------------------------------
+// Accounting golden: one paused single-worker engine over both devices
+// runs every execution shape the engine has — a coalesced plain pair, a
+// Max singleton, a graph with a live update overlay, a coalesced pair on a
+// 2-way sharded graph and a fused model pass — and pins the exact
+// counters, device clocks and per-request metadata they produce. Exact
+// selection makes every cold plan build charge a non-zero build_ms.
+
+struct AccountingRun {
+  serve::EngineStats stats;
+  serve::PlanCacheStats plans;
+  double virtual_now_ms = 0.0;
+  std::vector<serve::RequestResult> results;
+};
+
+AccountingRun run_accounting_scenario() {
+  ServeOptions opt;  // both devices: gtx1080ti, rtx2080
+  opt.num_workers = 1;
+  opt.start_paused = true;
+  opt.plan.selection = SelectionMode::Exact;
+  opt.plan.sample_blocks = 128;
+  opt.tenants["gold"] = serve::TenantConfig{.share = 2.0};
+  // zoo_uniform (~16.8 KB) shards 2 ways under this budget; the other
+  // graphs fit one device.
+  opt.sharding.device_capacity_bytes = 10000;
+  Engine eng(opt);
+
+  const Csr plain = sparse::uniform_random(128, 128, 1024, 2001);
+  const Csr dynamic = sparse::uniform_random(96, 96, 600, 2002);
+  const Csr big = testutil::zoo_uniform();
+  const Csr small = sparse::uniform_random(64, 64, 256, 2003);
+  const GraphId plain_id = eng.register_graph(plain);
+  const GraphId dyn_id = eng.register_graph(dynamic);
+  const GraphId big_id = eng.register_graph(big);
+  const GraphId small_id = eng.register_graph(small);
+  const serve::ModelId model = eng.register_model(
+      small_id, serve::make_model_spec(serve::ServedModelKind::Gcn, 32, 16, 4, 2));
+
+  serve::EdgeBatch update;
+  update.inserts = {{3, 7, 0.5f}, {40, 1, -2.0f}};
+  eng.apply_update(dyn_id, update);
+
+  std::vector<Ticket> tickets;
+  tickets.push_back(eng.submit(plain_id, features(plain.cols, 16, 2010)));
+  tickets.push_back(eng.submit(plain_id, features(plain.cols, 40, 2011), {.deadline_ms = 1e-6}));
+  tickets.push_back(eng.submit(plain_id, features(plain.cols, 32, 2012),
+                               {.reduce = kernels::ReduceKind::Max}));
+  tickets.push_back(eng.submit(dyn_id, features(dynamic.cols, 24, 2013), {.deadline_ms = 1e6}));
+  tickets.push_back(eng.submit(big_id, features(big.cols, 16, 2014), {.tenant = "gold"}));
+  tickets.push_back(eng.submit(big_id, features(big.cols, 48, 2015), {.tenant = "gold"}));
+  tickets.push_back(eng.submit_model(model, features(small.rows, 32, 2016)));
+  eng.shutdown();
+
+  AccountingRun run;
+  run.stats = eng.stats();
+  run.plans = eng.plan_cache().stats();
+  run.virtual_now_ms = eng.virtual_now_ms();
+  for (const Ticket& t : tickets) run.results.push_back(t.wait());
+  return run;
+}
+
+TEST(ServeEngine, AccountingGolden) {
+  const AccountingRun run = run_accounting_scenario();
+  const serve::EngineStats& st = run.stats;
+  EXPECT_EQ(st.graphs_registered, 4u);
+  EXPECT_EQ(st.register_dedup_hits, 0u);
+  EXPECT_EQ(st.graphs_sharded, 1u);
+  EXPECT_EQ(st.graph_updates, 1u);
+  EXPECT_EQ(st.graph_compactions, 0u);
+  EXPECT_EQ(st.shards_replanned, 0u);
+  EXPECT_EQ(st.plan_invalidations, 0u);
+  EXPECT_EQ(st.models_registered, 1u);
+  EXPECT_EQ(st.model_register_dedup_hits, 0u);
+  EXPECT_EQ(st.model_requests, 1u);
+  EXPECT_EQ(st.fused_saved_ms, 0.01758190476190476);
+  EXPECT_EQ(st.submitted, 7u);
+  EXPECT_EQ(st.completed, 7u);
+  EXPECT_EQ(st.shed, 0u);
+  EXPECT_EQ(st.batches, 5u);
+  EXPECT_EQ(st.coalesced_requests, 4u);
+  EXPECT_EQ(st.deadline_missed, 1u);
+  EXPECT_EQ(st.shard_launches, 2u);
+  EXPECT_EQ(st.gather_ms, 0.00016810666666666667);
+  EXPECT_EQ(st.plan_cache_hits, 1u);
+  EXPECT_EQ(st.plan_cache_misses, 6u);
+  EXPECT_EQ(st.plan_build_ms, 0.094953819935023082);
+  EXPECT_EQ(st.modelled_ms, 0.13398895280003684);
+  EXPECT_EQ(run.virtual_now_ms, 0.069860782121212134);
+
+  // Selection telemetry lives in the plan cache's own counters.
+  EXPECT_EQ(run.plans.hits, 1u);
+  EXPECT_EQ(run.plans.misses, 6u);
+  EXPECT_EQ(run.plans.exact_builds, 5u);
+  EXPECT_EQ(run.plans.predicted_builds, 0u);
+  EXPECT_EQ(run.plans.retunes, 0u);
+  EXPECT_EQ(run.plans.mispredicts, 0u);
+  EXPECT_EQ(run.plans.hybrid_builds, 0u);
+
+  const struct {
+    const char* device;
+    std::uint64_t requests, batches, hits, misses;
+    double modelled_ms;
+  } devices[] = {
+      {"gtx1080ti", 5u, 3u, 0u, 3u, 0.069860782121212134},
+      {"rtx2080", 4u, 3u, 1u, 3u, 0.064128170678824731},
+  };
+  ASSERT_EQ(st.devices.size(), std::size(devices));
+  for (std::size_t i = 0; i < std::size(devices); ++i) {
+    const serve::DeviceServeStats& ds = st.devices[i];
+    EXPECT_EQ(ds.device, devices[i].device);
+    EXPECT_EQ(ds.requests, devices[i].requests) << ds.device;
+    EXPECT_EQ(ds.batches, devices[i].batches) << ds.device;
+    EXPECT_EQ(ds.plan_cache_hits, devices[i].hits) << ds.device;
+    EXPECT_EQ(ds.plan_cache_misses, devices[i].misses) << ds.device;
+    EXPECT_EQ(ds.modelled_ms, devices[i].modelled_ms) << ds.device;
+  }
+
+  const struct {
+    const char* tenant;
+    std::uint64_t submitted, completed, shed, served_width;
+  } tenants[] = {
+      {"default", 5u, 5u, 0u, 132u},
+      {"gold", 2u, 2u, 0u, 64u},
+  };
+  ASSERT_EQ(st.tenants.size(), std::size(tenants));
+  for (std::size_t i = 0; i < std::size(tenants); ++i) {
+    const serve::TenantServeStats& ts = st.tenants[i];
+    EXPECT_EQ(ts.tenant, tenants[i].tenant);
+    EXPECT_EQ(ts.submitted, tenants[i].submitted) << ts.tenant;
+    EXPECT_EQ(ts.completed, tenants[i].completed) << ts.tenant;
+    EXPECT_EQ(ts.shed, tenants[i].shed) << ts.tenant;
+    EXPECT_EQ(ts.served_width, tenants[i].served_width) << ts.tenant;
+  }
+
+  // In submission order: the coalesced plain pair (the second one misses
+  // its deadline), the Max singleton, the overlay graph, the coalesced
+  // sharded pair, and the model pass (which reports its fused time).
+  const struct {
+    SpmmAlgo algo;
+    const char* device;
+    double modelled_ms, completed_at_ms;
+    bool hit;
+    int batch_size, shards;
+    double composed_ms;
+    bool deadline_met;
+  } requests[] = {
+      {SpmmAlgo::CrcCwm2, "gtx1080ti", 0.0015102662337662337, 0.022974303719008268, false, 2, 0, 0, true},
+      {SpmmAlgo::CrcCwm2, "gtx1080ti", 0.0037756655844155842, 0.022974303719008268, false, 2, 0, 0, false},
+      {SpmmAlgo::Crc, "gtx1080ti", 0.0055481198347107439, 0.069860782121212134, false, 1, 0, 0, true},
+      {SpmmAlgo::Crc, "rtx2080", 0.0057908184523809527, 0.0057908184523809527, false, 1, 0, 0, true},
+      {SpmmAlgo::CrcCwm2, "gtx1080ti", 0.0014862041666666667, 0.064312662286501385, false, 2, 2, 0, true},
+      {SpmmAlgo::CrcCwm2, "gtx1080ti", 0.0044586125000000004, 0.064312662286501385, false, 2, 2, 0, true},
+      {SpmmAlgo::Crc, "rtx2080", 0.01076943154761905, 0.064128170678824731, false, 1, 0, 0.028351336309523811, true},
+  };
+  ASSERT_EQ(run.results.size(), std::size(requests));
+  for (std::size_t i = 0; i < std::size(requests); ++i) {
+    const serve::RequestResult& r = run.results[i];
+    ASSERT_EQ(r.status, serve::RequestStatus::Ok) << "request " << i;
+    EXPECT_EQ(r.algo, requests[i].algo) << "request " << i;
+    EXPECT_EQ(r.device, requests[i].device) << "request " << i;
+    EXPECT_EQ(r.modelled_ms, requests[i].modelled_ms) << "request " << i;
+    EXPECT_EQ(r.completed_at_ms, requests[i].completed_at_ms) << "request " << i;
+    EXPECT_EQ(r.plan_cache_hit, requests[i].hit) << "request " << i;
+    EXPECT_EQ(r.batch_size, requests[i].batch_size) << "request " << i;
+    EXPECT_EQ(r.shards, requests[i].shards) << "request " << i;
+    EXPECT_EQ(r.composed_ms, requests[i].composed_ms) << "request " << i;
+    EXPECT_EQ(r.deadline_met, requests[i].deadline_met) << "request " << i;
+  }
 }
 
 }  // namespace

@@ -213,6 +213,31 @@ TEST(SchedulerFifo, IsPriorityBlind) {
   EXPECT_EQ(s.next_batch(), (std::vector<std::uint64_t>{2}));
 }
 
+TEST(SchedulerFifo, OverWidthRequestIsSkippedAndANarrowerOneRidesAlong) {
+  BatchConstraints lim;
+  lim.max_batch_n = 96;
+  lim.max_batch_requests = 3;
+  SchedulerOptions opt;
+  opt.policy = SchedulePolicy::Fifo;
+  Scheduler s(opt, lim);
+  s.enqueue({0, 7, 32, ReduceKind::Sum});
+  s.enqueue({1, 7, 32, ReduceKind::Sum});
+  s.enqueue({2, 7, 48, ReduceKind::Sum});
+  s.enqueue({3, 7, 16, ReduceKind::Sum});
+  // 32 + 32 = 64; the 48 would overflow the 96 cap and is skipped, not
+  // blocking: the 16 behind it fits (80) and fills the request cap.
+  EXPECT_EQ(s.next_batch(), (std::vector<std::uint64_t>{0, 1, 3}));
+  EXPECT_EQ(s.next_batch(), (std::vector<std::uint64_t>{2}));
+  EXPECT_TRUE(s.empty());
+
+  // A request wider than the cap still ships, alone.
+  s.enqueue({4, 7, 128, ReduceKind::Sum});
+  s.enqueue({5, 7, 8, ReduceKind::Sum});
+  EXPECT_EQ(s.next_batch(), (std::vector<std::uint64_t>{4}));
+  EXPECT_EQ(s.next_batch(), (std::vector<std::uint64_t>{5}));
+  EXPECT_TRUE(s.empty());
+}
+
 TEST(SchedulerFifo, MixedPriorityAndBatchOnlyGraphsAnchorGloballyOldest) {
   // Regression: next_batch_fifo used to read q[0].front().seq blindly —
   // undefined behavior when a graph's pending requests are all

@@ -1,10 +1,9 @@
 /// Density-partitioned hybrid execution: row partition boundary cases,
 /// bitwise identity of the MMA+SIMT kernel pair against the reference
-/// fold, per-partition pricing, PlanStep compilation through autotune and
-/// SpmmPlan (including the algo_for learned-selector regression), and the
-/// serving layer carrying partitioned plans end-to-end — unsharded,
-/// sharded with halo composition, and the structural decline on ragged
-/// families.
+/// fold, per-partition pricing, PlanStep compilation through autotune
+/// (including its agreement with the cheap selector), and the serving
+/// layer carrying partitioned plans end-to-end — unsharded, sharded with
+/// halo composition, and the structural decline on ragged families.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +11,6 @@
 #include <vector>
 
 #include "core/autotune.hpp"
-#include "core/plan.hpp"
 #include "core/plan_select.hpp"
 #include "kernels/registry.hpp"
 #include "kernels/spmm_hybrid.hpp"
@@ -284,37 +282,23 @@ TEST(HybridAutotune, HybridWinnerCompilesToPartitionedSteps) {
 }
 
 // ---------------------------------------------------------------------------
-// SpmmPlan: algo_for routes through the learned selector (regression for
-// the static-rule bypass), steps_for exposes the partitioned plan.
+// Selection: Predict-mode autotune and the cheap selector agree.
 
-TEST(HybridPlan, AlgoForRoutesThroughTheLearnedSelector) {
-  // Pinned regression: SpmmPlan::algo_for used to call the paper's static
-  // width rule directly, bypassing the autotuner's selection path. It must
-  // agree with select_spmm_algo on every shape — including ones where the
-  // learned choice differs from the static rule.
+TEST(HybridPlan, PredictModeAutotuneMatchesTheSelector) {
+  // The cheap selector must name exactly the kernel Predict-mode autotune
+  // (and so every cached serving plan) picks, on every shape — including
+  // ones where the learned choice differs from the paper's static width
+  // rule.
   for (const auto& [name, a] : identity_zoo()) {
     for (const auto& dev : {gpusim::gtx1080ti(), gpusim::rtx2080()}) {
-      SpmmPlan plan(a, dev);
+      AutotuneOptions opt;
+      opt.device = dev;
       for (const index_t n : {index_t{16}, index_t{64}, index_t{256}}) {
-        EXPECT_EQ(plan.algo_for(n), select_spmm_algo(a, n, dev))
+        EXPECT_EQ(autotune_spmm(a, n, opt).best, select_spmm_algo(a, n, dev))
             << name << " n=" << n << " on " << dev.name;
       }
     }
   }
-}
-
-TEST(HybridPlan, StepsForDecomposesTimeMs) {
-  const Csr blocked = sparse::pruned_dnn(256, 256, 16, 0.85, 11);
-  SpmmPlan plan(blocked);
-  const auto& steps = plan.steps_for(128);
-  ASSERT_FALSE(steps.empty());
-  EXPECT_EQ(steps.front().row_begin, 0);
-  EXPECT_EQ(steps.back().row_end, blocked.rows);
-  for (std::size_t i = 1; i < steps.size(); ++i) {
-    EXPECT_EQ(steps[i].row_begin, steps[i - 1].row_end)
-        << "steps must tile the row space contiguously";
-  }
-  EXPECT_DOUBLE_EQ(plan_steps_time_ms(steps), plan.time_ms(128));
 }
 
 // ---------------------------------------------------------------------------
@@ -357,8 +341,6 @@ TEST(HybridServe, PartitionedPlanFlowsThroughCacheAndResult) {
       ASSERT_EQ(res.c.at(i, j), expect.at(i, j)) << "serving must stay bitwise";
     }
   }
-  const auto st = eng.stats();
-  EXPECT_EQ(st.plan_hybrid_builds, 1u);
   EXPECT_EQ(eng.plan_cache().stats().hybrid_builds, 1u);
 }
 
@@ -396,7 +378,7 @@ TEST(HybridServe, SelectorDeclinesRaggedFamilies) {
   EXPECT_NE(res.algo, SpmmAlgo::HybridMma);
   ASSERT_EQ(res.plan_steps.size(), 1u) << "ragged matrices keep one-step plans";
   EXPECT_EQ(res.plan_steps[0].pipe, StepPipe::Simt);
-  EXPECT_EQ(eng.stats().plan_hybrid_builds, 0u);
+  EXPECT_EQ(eng.plan_cache().stats().hybrid_builds, 0u);
 }
 
 TEST(HybridServe, ShardHaloPricingComposesWithPartitionSteps) {
