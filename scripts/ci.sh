@@ -8,14 +8,21 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${BUILD_DIR:-build}"
 JOBS="${JOBS:-$(nproc)}"
 
-# SANITIZE=1 flips the build to ASan+UBSan (see GESPMM_SANITIZE in the
-# top-level CMakeLists); pair it with a separate BUILD_DIR so the
-# instrumented and plain object files never mix. CTEST_LABEL narrows the
-# test run to one ctest label (e.g. serve, stress) for sharded jobs.
+# SANITIZE=1 (or address) flips the build to ASan+UBSan, SANITIZE=thread
+# to TSan with OpenMP off (see GESPMM_SANITIZE in the top-level
+# CMakeLists); pair either with a separate BUILD_DIR so the instrumented
+# and plain object files never mix. CTEST_LABEL narrows the test run to
+# one ctest label (e.g. serve, stress) for sharded jobs.
 EXTRA_CMAKE_ARGS=()
-if [[ "${SANITIZE:-0}" == "1" ]]; then
-  EXTRA_CMAKE_ARGS+=(-DGESPMM_SANITIZE=ON)
-fi
+case "${SANITIZE:-0}" in
+  0) ;;
+  1 | address) EXTRA_CMAKE_ARGS+=(-DGESPMM_SANITIZE=address) ;;
+  thread) EXTRA_CMAKE_ARGS+=(-DGESPMM_SANITIZE=thread) ;;
+  *)
+    echo "ci.sh: SANITIZE must be 0, 1, address or thread, not '$SANITIZE'" >&2
+    exit 2
+    ;;
+esac
 CTEST_ARGS=()
 if [[ -n "${CTEST_LABEL:-}" ]]; then
   CTEST_ARGS+=(-L "$CTEST_LABEL")

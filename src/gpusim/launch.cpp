@@ -1,7 +1,5 @@
 #include "gpusim/launch.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <vector>
 

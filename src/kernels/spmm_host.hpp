@@ -11,8 +11,12 @@
 /// whole tile (Coalesced Row Caching). The tile accumulates in a
 /// fixed-size local array whose lanes each own one output column for the
 /// whole walk (Coarse-grained Warp Merging); GCC vectorizes it at -O2.
-/// Every output element still folds its row's nonzeros in CSR order from
-/// `init()` through `finalize()`, so all four reductions are bitwise
+/// Rows are scheduled in chunks of 64. When a B row spans more than one
+/// 64-byte cache line (N > 16), a cursor runs 16 nonzeros ahead of the
+/// fold within the chunk and prefetches every line of those B rows, CRC's
+/// latency hiding: the dense-row loads of many nonzeros are in flight at
+/// once. Every output element still folds its row's nonzeros in CSR order
+/// from `init()` through `finalize()`, so all four reductions are bitwise
 /// identical to the reference. Column-major operands keep a per-element
 /// loop.
 
@@ -42,9 +46,13 @@ void spmm_host_reference(const sparse::Csr& a, const DenseMatrix& b, DenseMatrix
 
 /// OpenMP-parallel host SpMM, bitwise identical to the reference: rows
 /// split across threads and every output element folds in the
-/// reference's order. C must be rows x N.
+/// reference's order. A's rows land in C's rows
+/// [row_begin, row_begin + A.rows); C's other rows are not touched, so a
+/// row slice of a larger operand (a shard) computes in place. Throws
+/// std::invalid_argument unless B.rows == A.cols, C.cols == B.cols and
+/// 0 <= row_begin <= C.rows - A.rows.
 void spmm_host_parallel(const sparse::Csr& a, const DenseMatrix& b, DenseMatrix& c,
-                        ReduceKind kind = ReduceKind::Sum);
+                        ReduceKind kind = ReduceKind::Sum, index_t row_begin = 0);
 
 /// Convenience: run the reference for a runtime ReduceKind.
 void spmm_host_reference(const sparse::Csr& a, const DenseMatrix& b, DenseMatrix& c,

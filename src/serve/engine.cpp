@@ -700,17 +700,10 @@ void Engine::execute_spmm(Batch batch, std::size_t device_index) {
       shared.device = dev.name;
     }
 
-    if (l.csr->rows == a.rows) {
-      kernels::spmm_host_parallel(*l.csr, *b_all, c_all, reduce);
-    } else {
-      // Merge: the slice's rows are one contiguous block of the row-major
-      // full output. Row-parallel SpMM makes this bitwise identical to the
-      // unsharded kernel — same per-row accumulation order, different host.
-      DenseMatrix c_slice(l.csr->rows, total_n);
-      kernels::spmm_host_parallel(*l.csr, *b_all, c_slice, reduce);
-      std::memcpy(row_ptr(c_all, l.row_begin), c_slice.device().data(),
-                  c_slice.size() * sizeof(value_t));
-    }
+    // A shard's rows are computed in place at its row_begin. Row-parallel
+    // SpMM makes this bitwise identical to the unsharded kernel: same
+    // per-row accumulation order, different host.
+    kernels::spmm_host_parallel(*l.csr, *b_all, c_all, reduce, l.row_begin);
 
     // Before a shard's kernel can run it must gather its halo rows of B
     // from peer devices; that transfer is priced against the modelled

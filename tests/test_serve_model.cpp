@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "core/gespmm.hpp"
@@ -135,6 +136,33 @@ TEST(ModelPlanCompile, ValidatesShapes) {
   ModelSpec missing_bias = spec;
   missing_bias.bias.pop_back();
   EXPECT_THROW(serve::compile_model(1, square, missing_bias),
+               std::invalid_argument);
+}
+
+TEST(ModelPlanCompile, RunLayerRejectsMisshapedFeatures) {
+  // run_layer checks `out` itself; a mis-shaped h reaches the host SpMM,
+  // whose shape checks must throw before it touches memory out of bounds.
+  const Csr a = sparse::uniform_random(32, 32, 128, 34);
+  const DenseMatrix w(8, 4);
+  const DenseMatrix bias(1, 4);
+  DenseMatrix out(32, 4);
+  ModelArena arena;
+
+  // Aggregate first: an h wider than in_width would overrun the arena's
+  // num_nodes x in_width intermediate.
+  LayerStep aggregate;
+  aggregate.in_width = 8;
+  aggregate.out_width = 4;
+  aggregate.spmm_width = 8;
+  EXPECT_THROW(serve::run_layer(a, aggregate, features(32, 12, 1), w, bias, out, arena),
+               std::invalid_argument);
+
+  // Transform first: an h with fewer rows than the graph has columns would
+  // make the aggregation gather past the end of H·W.
+  LayerStep transform = aggregate;
+  transform.transform_first = true;
+  transform.spmm_width = 4;
+  EXPECT_THROW(serve::run_layer(a, transform, features(20, 8, 2), w, bias, out, arena),
                std::invalid_argument);
 }
 

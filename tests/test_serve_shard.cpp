@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <stdexcept>
 
@@ -124,24 +125,23 @@ TEST(ShardPlanner, HaloColumnsHandBuiltGolden) {
 }
 
 TEST(ShardPlanner, ShardKernelsReassembleBitwise) {
+  // Each shard computes in place at its row_begin into one NaN-filled C,
+  // as the engine runs them; a row no shard writes cannot pass. Widths on
+  // both sides of the host kernel's B-row prefetch (on above 16 columns).
   for (const auto& zc : testutil::zoo_cases()) {
     if (zc.matrix.rows < 4) continue;  // need at least one row per shard
     const Csr& a = zc.matrix;
-    const DenseMatrix b = features(a.cols, 9, 1234);
-
     const ShardPlan plan = serve::plan_shards(a, 4);
-    DenseMatrix got(a.rows, 9);
-    for (const auto& s : plan.shards) {
-      DenseMatrix part(s.rows(), 9);
-      kernels::spmm_host_parallel(s.csr, b, part, ReduceKind::Sum);
-      for (index_t i = 0; i < s.rows(); ++i) {
-        for (index_t j = 0; j < 9; ++j) {
-          got.at(s.row_begin + i, j) = part.at(i, j);
-        }
+    for (const index_t n : {9, 33}) {
+      const DenseMatrix b = features(a.cols, n, 1234);
+      DenseMatrix got(a.rows, n);
+      got.fill(std::numeric_limits<value_t>::quiet_NaN());
+      for (const auto& s : plan.shards) {
+        kernels::spmm_host_parallel(s.csr, b, got, ReduceKind::Sum, s.row_begin);
       }
+      EXPECT_TRUE(testutil::bitwise_equal(got, testutil::reference_spmm(a, b)))
+          << zc.name << " n=" << n << ": sharded slices must reassemble bitwise";
     }
-    EXPECT_TRUE(testutil::bitwise_equal(got, testutil::reference_spmm(a, b)))
-        << zc.name << ": sharded slices must reassemble bitwise";
   }
 }
 

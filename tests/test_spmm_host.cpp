@@ -2,12 +2,15 @@
 /// spmm_host_reference, byte for byte. The parallel kernel folds a tile of
 /// output columns per walk of a sparse row, so these sweeps pin each output
 /// element's fold order: every reduction, widths on both sides of the
-/// column tile, every layout pairing of B and C, and operands holding NaN,
-/// infinities and signed zeros. Also pins the comparison helpers the
-/// serving suites' bitwise assertions rest on.
+/// column tile and of the B-row prefetch, row chunks with empty and long
+/// rows at their edges, every layout pairing of B and C, and operands
+/// holding NaN, infinities and signed zeros. Also pins the kernel's shape
+/// checks, computing into a row range of a larger C, and the comparison
+/// helpers the serving suites' bitwise assertions rest on.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -41,13 +44,36 @@ const char* layout_name(Layout l) { return l == Layout::RowMajor ? "row-major" :
   return bitwise_equal(got, testutil::reference_spmm(a, b, kind));
 }
 
+/// 200 x 150 with the kernel's 64-row chunk edges in view: rows 60-67
+/// empty (straddling the first edge), row 127 holding 40 nonzeros (more
+/// than the 16-nonzero prefetch distance) as the last row of its chunk,
+/// and rows 128-191 an entirely empty chunk. The prefetch cursor starts,
+/// stops and clamps at each edge.
+Csr chunk_edges() {
+  std::vector<index_t> r, c;
+  std::vector<value_t> v;
+  for (index_t i = 0; i < 200; ++i) {
+    index_t k = i % 5 + 1;
+    if ((i >= 60 && i < 68) || (i >= 128 && i < 192)) k = 0;
+    if (i == 127) k = 40;
+    for (index_t t = 0; t < k; ++t) {
+      r.push_back(i);
+      c.push_back((i * 13 + t * 7) % 150);
+      v.push_back(0.25f + 0.01f * static_cast<value_t>((i + t) % 17));
+    }
+  }
+  return sparse::csr_from_triplets(200, 150, r, c, v);
+}
+
 TEST(SpmmHost, ParallelMatchesReferenceBitwise) {
-  // The zoo plus a larger power-law and a rectangular uniform matrix.
+  // The zoo plus a larger power-law, a rectangular uniform matrix and one
+  // built around the row-chunk edges.
   std::vector<testutil::ZooCase> cases = testutil::zoo_cases();
   cases.push_back({"rmat", sparse::rmat(10, 16.0, 0.57, 0.19, 0.19, 4)});
   cases.push_back({"uniform_rect", sparse::uniform_random(300, 700, 6000, 5)});
-  // Widths on both sides of the 8-column tile: tail only, whole tiles,
-  // and tiles plus a tail.
+  cases.push_back({"chunk_edges", chunk_edges()});
+  // Widths on both sides of the 8-column tile (tail only, whole tiles,
+  // and tiles plus a tail) and of the prefetch, which is on above 16.
   const index_t widths[] = {1, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65, 257};
   for (const auto& [name, a] : cases) {
     for (const index_t n : widths) {
@@ -89,6 +115,66 @@ TEST(SpmmHost, SpecialValuesFoldInReferenceOrder) {
           << "n=" << n << " " << kernels::reduce_kind_name(kind);
     }
   }
+}
+
+TEST(SpmmHost, RowBeginComputesIntoItsRowsOnly) {
+  // A lands in C's rows [row_begin, row_begin + A.rows): those match the
+  // reference and every other row keeps its NaN fill.
+  const Csr a = chunk_edges();
+  const index_t row_begin = 7;
+  for (const index_t n : {9, 33}) {
+    DenseMatrix b(a.cols, n);
+    kernels::fill_random(b, 400 + static_cast<std::uint64_t>(n));
+    const DenseMatrix want = testutil::reference_spmm(a, b, ReduceKind::Max);
+    for (const Layout cl : kLayouts) {
+      DenseMatrix got(a.rows + 12, n, cl);
+      got.fill(std::numeric_limits<value_t>::quiet_NaN());
+      kernels::spmm_host_parallel(a, b, got, ReduceKind::Max, row_begin);
+      DenseMatrix inside(a.rows, n);
+      bool outside_untouched = true;
+      for (index_t i = 0; i < got.rows(); ++i) {
+        const bool in = i >= row_begin && i < row_begin + a.rows;
+        for (index_t j = 0; j < n; ++j) {
+          if (in) {
+            inside.at(i - row_begin, j) = got.at(i, j);
+          } else {
+            outside_untouched = outside_untouched && std::isnan(got.at(i, j));
+          }
+        }
+      }
+      EXPECT_TRUE(bitwise_equal(inside, want)) << "n=" << n << ", C " << layout_name(cl);
+      EXPECT_TRUE(outside_untouched) << "n=" << n << ", C " << layout_name(cl);
+    }
+  }
+}
+
+TEST(SpmmHost, RejectsMisshapedOperands) {
+  // Each check guards an out-of-bounds access: the kernel gathers B rows by
+  // A's column index and uses B's width as C's row stride.
+  const Csr a = testutil::zoo_uniform();  // 200 x 200
+  const DenseMatrix b(a.cols, 8);
+  DenseMatrix c(a.rows, 8);
+
+  const DenseMatrix b_short(a.cols - 1, 8);
+  EXPECT_THROW(kernels::spmm_host_parallel(a, b_short, c), std::invalid_argument);
+  const DenseMatrix b_tall(a.cols + 1, 8);
+  EXPECT_THROW(kernels::spmm_host_parallel(a, b_tall, c), std::invalid_argument);
+
+  DenseMatrix c_narrow(a.rows, 7);
+  EXPECT_THROW(kernels::spmm_host_parallel(a, b, c_narrow), std::invalid_argument);
+  DenseMatrix c_wide(a.rows, 9);
+  EXPECT_THROW(kernels::spmm_host_parallel(a, b, c_wide), std::invalid_argument);
+
+  EXPECT_THROW(kernels::spmm_host_parallel(a, b, c, ReduceKind::Sum, -1),
+               std::invalid_argument);
+  EXPECT_THROW(kernels::spmm_host_parallel(a, b, c, ReduceKind::Sum, 1),
+               std::invalid_argument);
+  DenseMatrix c_short(a.rows - 1, 8);
+  EXPECT_THROW(kernels::spmm_host_parallel(a, b, c_short), std::invalid_argument);
+
+  // The last row range that fits.
+  DenseMatrix c_tall(a.rows + 3, 8);
+  EXPECT_NO_THROW(kernels::spmm_host_parallel(a, b, c_tall, ReduceKind::Sum, 3));
 }
 
 TEST(BitwiseEqual, CatchesWhatMaxAbsDiffMisses) {
