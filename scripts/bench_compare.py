@@ -20,6 +20,14 @@ Two layers of checking:
    - wallclock groups (host wall time, e.g. micro_kernels) are always
      advisory: modelled times are deterministic, wall time is not.
 
+--exact replaces both layers with the identity check a refactor must
+pass: every (bench, device) group in the fresh report must have the same
+record count in the baseline, and each non-wall-clock record must equal
+the baseline record at the same position, field for field and bit for
+bit. Baseline groups the fresh run lacks are ignored, so a
+`bench_all --only=...` run compares directly. Different protocols
+(HARD_KEYS) fail instead of downgrading.
+
 Exit status: 0 clean, 1 regression/coverage failure, 2 usage/IO error.
 """
 
@@ -70,7 +78,60 @@ def fmt_key(key):
     return f"{key[0]} [{key[1]}]"
 
 
-def main():
+def schema_failures(base, fresh):
+    if base.get("schema_version") == fresh.get("schema_version"):
+        return []
+    return [f"schema_version mismatch: baseline {base.get('schema_version')} "
+            f"vs fresh {fresh.get('schema_version')}"]
+
+
+def protocol_differs(base, fresh):
+    base_opts = base.get("options", {})
+    fresh_opts = fresh.get("options", {})
+    return any(base_opts.get(k) != fresh_opts.get(k) for k in HARD_KEYS)
+
+
+def record_groups(report):
+    groups = {}
+    for r in report.get("records", []):
+        groups.setdefault((r["bench"], r["device"]), []).append(r)
+    return groups
+
+
+def exact_check(base, fresh):
+    """The --exact identity check. Returns (failures, compared, skipped)."""
+    failures = schema_failures(base, fresh)
+    if protocol_differs(base, fresh):
+        failures.append(f"protocols differ: baseline {base.get('options', {})} "
+                        f"vs fresh {fresh.get('options', {})}")
+    base_groups = record_groups(base)
+    compared = skipped = 0
+    for key, records in sorted(record_groups(fresh).items()):
+        want = base_groups.get(key, [])
+        if len(records) != len(want):
+            failures.append(f"{fmt_key(key)}: {len(records)} records, "
+                            f"baseline has {len(want)}")
+            continue
+        for i, (b, f) in enumerate(zip(want, records)):
+            if b.get("wallclock") and f.get("wallclock"):
+                skipped += 1
+                continue
+            compared += 1
+            if b != f:
+                failures.append(f"{fmt_key(key)} record {i}: {b} -> {f}")
+    return failures, compared, skipped
+
+
+def report_failures(failures, limit=None):
+    print(f"\nFAIL ({len(failures)} problem(s)):", file=sys.stderr)
+    shown = failures[:limit]
+    for f in shown:
+        print(f"  - {f}", file=sys.stderr)
+    if len(shown) < len(failures):
+        print(f"  ... and {len(failures) - len(shown)} more", file=sys.stderr)
+
+
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("fresh", help="JSON report from the run under test")
     ap.add_argument("--baseline", default="BENCH_baseline.json",
@@ -82,27 +143,35 @@ def main():
     ap.add_argument("--allow-new", action="store_true",
                     help="do not fail on (bench, device) groups missing from "
                          "the baseline")
-    args = ap.parse_args()
+    ap.add_argument("--exact", action="store_true",
+                    help="require every non-wall-clock record of the fresh "
+                         "run to equal the baseline's (refactor identity)")
+    args = ap.parse_args(argv)
 
     base = load(args.baseline)
     fresh = load(args.fresh)
 
-    failures = []
+    if args.exact:
+        failures, compared, skipped = exact_check(base, fresh)
+        print(f"bench_compare --exact: baseline={args.baseline} "
+              f"fresh={args.fresh}")
+        print(f"  records: {compared} compared, {skipped} wall-clock skipped")
+        if failures:
+            report_failures(failures, limit=20)
+            return 1
+        print("PASS")
+        return 0
+
+    failures = schema_failures(base, fresh)
     notes = []
 
-    if base.get("schema_version") != fresh.get("schema_version"):
-        failures.append(
-            f"schema_version mismatch: baseline {base.get('schema_version')} "
-            f"vs fresh {fresh.get('schema_version')}")
-
     timing_mode = args.timing
-    base_opts = base.get("options", {})
-    fresh_opts = fresh.get("options", {})
-    if any(base_opts.get(k) != fresh_opts.get(k) for k in HARD_KEYS):
+    if protocol_differs(base, fresh):
         if timing_mode == "strict":
             notes.append(
                 "protocols differ "
-                f"(baseline {base_opts} vs fresh {fresh_opts}): "
+                f"(baseline {base.get('options', {})} vs fresh "
+                f"{fresh.get('options', {})}): "
                 "timing comparison downgraded to advisory")
         timing_mode = "advisory"
 
@@ -177,9 +246,7 @@ def main():
     for n in notes:
         print(f"  note: {n}")
     if failures:
-        print(f"\nFAIL ({len(failures)} problem(s)):", file=sys.stderr)
-        for f in failures:
-            print(f"  - {f}", file=sys.stderr)
+        report_failures(failures)
         return 1
     print("PASS")
     return 0

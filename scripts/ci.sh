@@ -33,11 +33,13 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" --no-tests=error --output-on-failure -j "$JOBS" \
   "${CTEST_ARGS[@]}"
 
-# Documentation gate: intra-repo markdown links must resolve. On by
-# default for local runs; the workflow's build jobs set RUN_DOCS_GATE=0
-# because its dedicated docs-check job already runs the checker once.
+# Documentation gate: intra-repo markdown links must resolve, and the
+# scripts' stdlib self-tests pass. On by default for local runs; the
+# workflow's build jobs set RUN_DOCS_GATE=0 because its dedicated
+# docs-check job already runs both once.
 if [[ "${RUN_DOCS_GATE:-1}" == "1" ]]; then
   python3 ./scripts/check_docs_links.py
+  python3 -m unittest discover -s scripts -p 'test_*.py'
 fi
 
 # Opt-in: the workflow's dedicated format job calls check_format.sh

@@ -36,15 +36,15 @@ SpmmAlgo select_spmm_algo(const Csr& a, index_t n,
   return algo;
 }
 
-AutotuneResult autotune_spmm(const Csr& a, index_t n, const AutotuneOptions& opt) {
+AutotuneResult autotune_spmm(const Csr& a, index_t n, const AutotuneOptions& opt,
+                             ReduceKind reduce) {
   AutotuneResult res;
   res.default_choice = kernels::select_gespmm_algo(n);
-
-  const std::vector<SpmmAlgo> candidates = autotune_candidates(a, n, opt.device);
 
   kernels::SpmmRunOptions ro;
   ro.device = opt.device;
   ro.sample = gpusim::SamplePolicy::sampled(opt.sample_blocks);
+  ro.reduce = reduce;
 
   // Per-partition detail of the hybrid candidate's pricing run, kept so the
   // winner's step list can expose each partition's modelled time.
@@ -70,6 +70,7 @@ AutotuneResult autotune_spmm(const Csr& a, index_t n, const AutotuneOptions& opt
   // Exhaustive sweep over the candidates, keeping the earliest minimum on
   // ties. Charges every profiling run except the winner's to build_ms.
   auto sweep = [&] {
+    const std::vector<SpmmAlgo> candidates = autotune_candidates(a, n, opt.device);
     res.best = candidates.front();
     double best_ms = std::numeric_limits<double>::infinity();
     double total_ms = 0.0;
@@ -85,18 +86,16 @@ AutotuneResult autotune_spmm(const Csr& a, index_t n, const AutotuneOptions& opt
     return best_ms;
   };
 
-  if (opt.mode == SelectionMode::Exact) {
+  // The sweep is calibrated for the standard semiring: other reductions
+  // take the predicted kernel in either mode.
+  const bool sweepable = reduce == ReduceKind::Sum;
+  if (opt.mode == SelectionMode::Exact && sweepable) {
     sweep();
   } else {
     res.predicted = true;
-    res.best = predict_spmm_algo(extract_plan_features(a, n), opt.device);
-    // A table trained for a different kernel zoo could name an algorithm
-    // outside this shape's candidate set; clamp to the fixed rule.
-    if (std::find(candidates.begin(), candidates.end(), res.best) ==
-        candidates.end())
-      res.best = res.default_choice;
+    res.best = select_spmm_algo(a, n, opt.device);
     const double pred_ms = simulate(res.best);
-    if (opt.retune_regret > 0.0 &&
+    if (sweepable && opt.retune_regret > 0.0 &&
         pred_ms > opt.retune_regret * simulate(res.default_choice)) {
       // Escalate: run the sweep (memoization skips the already-priced
       // kernels, but their runs still count as selection cost — only the
@@ -111,8 +110,6 @@ AutotuneResult autotune_spmm(const Csr& a, index_t n, const AutotuneOptions& opt
       res.mispredicted = best_ms < pred_ms;
     }
   }
-  res.gain_over_default =
-      simulate(res.default_choice) / res.times_ms.at(res.best);
 
   // Compile the winner into its row-partition step list.
   if (res.best == SpmmAlgo::HybridMma && hybrid_detail.has_value()) {

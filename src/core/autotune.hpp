@@ -9,9 +9,9 @@
 /// CF=2 untuned. This module provides both answers to that question:
 ///
 ///  - `SelectionMode::Exact` — the tuner the paper decided against:
-///    every candidate is simulated with block sampling and the best CF
-///    returned with its margin over the default. Exhaustive, and the
-///    profiling runs cost real modelled device time (`build_ms`).
+///    every candidate is simulated with block sampling and the fastest
+///    kept. Exhaustive, and the profiling runs cost real modelled device
+///    time (`build_ms`).
 ///  - `SelectionMode::Predict` (default) — ParamSpMM-style adaptive
 ///    selection: deterministic matrix features (core/plan_select) walk an
 ///    offline-trained decision tree straight to a kernel, so selection
@@ -34,7 +34,8 @@ enum class SelectionMode {
   /// once (that run is the plan's modelled time, not selection overhead).
   Predict,
   /// Legacy exhaustive candidate sweep — simulate every CF candidate and
-  /// keep the fastest. `build_ms` charges the non-winning runs.
+  /// keep the fastest. `build_ms` charges the non-winning runs. Sum only:
+  /// other reductions take the prediction, as in Predict mode.
   Exact,
 };
 
@@ -48,7 +49,7 @@ struct AutotuneOptions {
   std::uint64_t sample_blocks = 512;
   /// Predictor by default; Exact is the fallback/offline-trainer path.
   SelectionMode mode = SelectionMode::Predict;
-  /// Online-refinement knob (Predict mode only): after pricing the
+  /// Online-refinement knob (Predict mode, Sum only): after pricing the
   /// predicted kernel, escalate to the exact sweep when
   ///   time(predicted) > retune_regret * time(fixed rule).
   /// 0 disables refinement; values in (0, 1] verify every prediction;
@@ -69,10 +70,11 @@ std::vector<SpmmAlgo> autotune_candidates(const Csr& a, index_t n,
                                           const gpusim::DeviceSpec& device);
 
 /// Cheap selection with no simulation: the trained predictor
-/// (core/plan_select) clamped to autotune_candidates — exactly the choice
-/// Predict-mode autotune makes before pricing it, so a caller that only
-/// needs the kernel name can never disagree with what the serving
-/// layer's cached plans predict.
+/// (core/plan_select) clamped to autotune_candidates (a table trained for
+/// a different kernel zoo falls back to the fixed rule). This is the
+/// kernel Predict-mode autotune prices, so a caller that only needs the
+/// kernel name can never disagree with what the serving layer's cached
+/// plans predict.
 SpmmAlgo select_spmm_algo(const Csr& a, index_t n,
                           const gpusim::DeviceSpec& device);
 
@@ -81,18 +83,20 @@ struct AutotuneResult {
   SpmmAlgo best;
   /// What the paper's fixed dispatch would pick for this N.
   SpmmAlgo default_choice;
-  /// Modelled time per candidate (ms). Exact mode: every candidate.
-  /// Predict mode: the predicted kernel, plus the fixed rule when it
-  /// differs, plus the remaining candidates after a retune.
+  /// Modelled time per priced kernel (ms), under the requested
+  /// reduction. A Sum sweep (Exact mode, or a retune): every candidate.
+  /// Otherwise the predicted kernel alone, plus the fixed rule when
+  /// `retune_regret` compared against it. Exact mode therefore holds both
+  /// `best` and `default_choice`, and their ratio is the fixed rule's
+  /// margin.
   std::map<SpmmAlgo, double> times_ms;
-  /// time(default) / time(best) — 1.0 means the fixed rule was optimal.
-  double gain_over_default = 1.0;
   /// Modelled device time selection itself cost: the candidate profiling
   /// runs beyond the one that prices the chosen kernel. 0 for a pure
   /// prediction (and for n <= 32, where Crc is the only candidate); the
   /// serving layer charges this to the device clock on cold plan builds.
   double build_ms = 0.0;
-  /// `best` came from the trained predictor (no sweep ran).
+  /// `best` came from the trained predictor: Predict mode, or any
+  /// non-Sum reduction.
   bool predicted = false;
   /// Predict mode escalated to the sweep (see retune_regret).
   bool retuned = false;
@@ -106,13 +110,18 @@ struct AutotuneResult {
   std::vector<PlanStep> steps;
 };
 
-/// Tune the kernel choice for (a, n) on a device. Predict mode prices
-/// only the predicted kernel; Exact mode simulates every CF candidate
-/// (only Crc when n <= 32 — there is nothing to coarsen) and returns the
-/// fastest with its margin over the paper's fixed rule. Deterministic
-/// for fixed inputs; the serving layer's PlanCache caches results per
-/// (graph, device, n).
+/// Select, price and compile the plan for one SpMM shape: (a, n) under
+/// `reduce` on a device. Predict mode prices only the predicted kernel;
+/// Exact mode simulates every candidate (only Crc and, for matrices with
+/// dense rows, hybrid when n <= 32 — there is nothing to coarsen) and
+/// returns the fastest. The sweep, Exact or a retune, runs only for Sum:
+/// it is calibrated for the standard semiring, so every other reduction
+/// takes the predicted kernel in either mode, priced under that
+/// reduction. Deterministic for fixed inputs; the serving layer's
+/// PlanCache builds every plan through this call and caches it per
+/// (graph, device, n, reduce).
 AutotuneResult autotune_spmm(const Csr& a, index_t n,
-                             const AutotuneOptions& opt = AutotuneOptions());
+                             const AutotuneOptions& opt = AutotuneOptions(),
+                             ReduceKind reduce = ReduceKind::Sum);
 
 }  // namespace gespmm

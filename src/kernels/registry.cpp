@@ -38,14 +38,6 @@ const char* algo_name(SpmmAlgo a) {
   return "?";
 }
 
-std::vector<SpmmAlgo> standard_spmm_algos() {
-  return {SpmmAlgo::Naive,      SpmmAlgo::Crc,    SpmmAlgo::CrcCwm2,
-          SpmmAlgo::CrcCwm4,    SpmmAlgo::CrcCwm8, SpmmAlgo::GeSpMM,
-          SpmmAlgo::RowSplitGB, SpmmAlgo::MergeSplitGB, SpmmAlgo::Csrmm2,
-          SpmmAlgo::SpmvLoop,   SpmmAlgo::Gunrock, SpmmAlgo::DglFallback,
-          SpmmAlgo::Aspt};
-}
-
 SpmmAlgo select_gespmm_algo(index_t n) {
   return n <= gpusim::kWarpSize ? SpmmAlgo::Crc : SpmmAlgo::CrcCwm2;
 }

@@ -35,9 +35,6 @@ enum class SpmmAlgo {
 
 const char* algo_name(SpmmAlgo a);
 
-/// Algorithms that compute standard SpMM (comparable on sum-reduce).
-std::vector<SpmmAlgo> standard_spmm_algos();
-
 /// GE-SpMM's adaptive algorithm choice (paper Fig. 7(c)): CWM is not worth
 /// its overhead when one warp already covers all columns.
 SpmmAlgo select_gespmm_algo(index_t n);

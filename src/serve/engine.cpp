@@ -40,30 +40,29 @@ ServeOptions::ServeOptions()
 namespace {
 
 /// Validate the tenant roster and derive the scheduler's share vector
-/// (sorted-name order == tenant index order) before any member that
-/// depends on it is constructed.
-ServeOptions prepare_options(ServeOptions opt) {
-  if (opt.tenants.empty()) {
+/// (sorted-name order == tenant index order).
+std::vector<double> tenant_shares(const std::map<std::string, TenantConfig>& tenants) {
+  if (tenants.empty()) {
     throw std::invalid_argument("Engine: at least one tenant required");
   }
-  opt.scheduler.tenant_shares.clear();
-  opt.scheduler.tenant_shares.reserve(opt.tenants.size());
-  for (const auto& [name, cfg] : opt.tenants) {
+  std::vector<double> shares;
+  shares.reserve(tenants.size());
+  for (const auto& [name, cfg] : tenants) {
     if (!(cfg.share > 0.0) || !std::isfinite(cfg.share)) {
       throw std::invalid_argument("Engine: tenant \"" + name +
                                   "\" share must be positive and finite");
     }
-    opt.scheduler.tenant_shares.push_back(cfg.share);
+    shares.push_back(cfg.share);
   }
-  return opt;
+  return shares;
 }
 
 }  // namespace
 
 Engine::Engine(ServeOptions opt)
-    : opt_(prepare_options(std::move(opt))),
+    : opt_(std::move(opt)),
       plan_cache_(opt_.plan),
-      scheduler_(opt_.scheduler, opt_.batch),
+      scheduler_(opt_.scheduler, opt_.batch, tenant_shares(opt_.tenants)),
       admission_(opt_.admission) {
   if (opt_.devices.empty()) {
     throw std::invalid_argument("Engine: at least one device required");

@@ -122,8 +122,8 @@ struct ServeOptions {
   /// Engine-wide admission queue bound (see admission.hpp; per-tenant
   /// shed thresholds live in `tenants`).
   AdmissionOptions admission;
-  /// Cross-queue scheduling policy (see scheduler.hpp). Its
-  /// `tenant_shares` vector is filled by the engine from `tenants`.
+  /// Cross-queue scheduling policy (see scheduler.hpp). The DRR weights
+  /// come from `tenants`: the engine passes their shares to the Scheduler.
   SchedulerOptions scheduler;
   /// The tenant roster: service contracts keyed by tenant name. Requests
   /// name their tenant in `SubmitOptions::tenant`; submitting under an

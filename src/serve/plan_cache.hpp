@@ -4,12 +4,12 @@
 /// fingerprint, device, dense width, reduction).
 ///
 /// A *plan* is the outcome of algorithm selection for one SpMM shape: the
-/// kernel to run and its modelled device time. Building one costs a
-/// block-sampled simulator pass per candidate (the `src/core/autotune`
-/// tuner); serving the same graph repeatedly must pay that once, not per
-/// request — the plan-reuse argument of GE-SpMM's repeated-SpMM GNN
-/// setting. Entries are immutable once built, so readers share them
-/// lock-free via shared_ptr.
+/// kernel to run and its modelled device time. Every plan is built by one
+/// `autotune_spmm` call (src/core/autotune), which costs at least one
+/// block-sampled simulator pass; serving the same graph repeatedly must
+/// pay that once, not per request — the plan-reuse argument of GE-SpMM's
+/// repeated-SpMM GNN setting. Entries are immutable once built, so
+/// readers share them lock-free via shared_ptr.
 ///
 /// The cache is bounded for long-lived daemons: at most
 /// `PlanCacheOptions::max_entries` plans are resident at any observation
@@ -54,7 +54,8 @@ struct PlanKey {
   auto operator<=>(const PlanKey&) const = default;
 };
 
-/// An immutable, cached algorithm-selection result.
+/// An immutable, cached algorithm-selection result: the parts of the
+/// AutotuneResult for its key that the engine executes and accounts.
 struct CachedPlan {
   /// Kernel the engine will account this shape against. HybridMma when
   /// the plan is partitioned (see `steps`).
@@ -71,21 +72,15 @@ struct CachedPlan {
   /// carry it — two caches building the same key always compile the same
   /// steps.
   std::vector<PlanStep> steps;
-  /// Whether `algo` came from the CF tuner (sum reductions). Non-sum
-  /// reductions skip the candidate sweep (it is calibrated for the
-  /// standard semiring) but still route through the learned selector, so
-  /// they can pick the hybrid partition too.
-  bool autotuned = false;
-  /// time(fixed rule) / time(algo); 1.0 when the fixed rule was optimal.
-  double gain_over_default = 1.0;
   /// Modelled device time algorithm selection itself cost: the candidate
   /// profiling runs beyond the one that priced the chosen kernel (see
   /// AutotuneResult::build_ms). The engine charges this to the requesting
   /// device's clock when the plan was freshly built; 0 for cache hits,
-  /// pure predictions and fixed-rule builds.
+  /// pure predictions and every non-Sum plan.
   double build_ms = 0.0;
-  /// Selection ran the trained predictor (SelectionMode::Predict); when
-  /// `retuned` is also set, the sweep had the final word on `algo`.
+  /// `algo` came from the trained predictor: SelectionMode::Predict, or
+  /// any non-Sum reduction (the sweep runs for Sum only). When `retuned`
+  /// is also set, the sweep had the final word on `algo`.
   bool predicted = false;
   /// The predict path escalated to the exact sweep (retune_regret).
   bool retuned = false;
@@ -95,12 +90,11 @@ struct CachedPlan {
 
 /// How plans are built and retained.
 struct PlanCacheOptions {
-  /// Run the CF tuner (sum reductions only) instead of the fixed rule.
-  bool autotune = true;
-  /// How the tuner selects: Predict (default) maps matrix features
+  /// How Sum plans select: Predict (default) maps matrix features
   /// through the trained table (core/plan_select) at zero modelled
   /// planning cost; Exact runs the legacy candidate sweep, whose extra
-  /// profiling runs are charged via CachedPlan::build_ms.
+  /// profiling runs are charged via CachedPlan::build_ms. Plans for other
+  /// reductions take the predicted kernel in either mode.
   SelectionMode selection = SelectionMode::Predict;
   /// Online refinement (Predict only): forwarded to
   /// AutotuneOptions::retune_regret — escalate a prediction to the exact
@@ -140,10 +134,10 @@ struct PlanCacheStats {
   /// plans, or because the cache is disabled (every disabled-cache build
   /// counts here and in `misses`).
   std::uint64_t uncached_builds = 0;
-  /// Tuner builds whose kernel came from the trained predictor vs. the
-  /// exact candidate sweep. Fixed-rule builds (non-sum reductions,
-  /// autotune=false) count in neither; a build that retuned counts as
-  /// exact (the sweep decided).
+  /// Sum builds whose kernel came from the trained predictor vs. the
+  /// exact candidate sweep. Builds for other reductions count in neither
+  /// (they always take the prediction, so there is no selection to
+  /// count); a build that retuned counts as exact (the sweep decided).
   std::uint64_t predicted_builds = 0;
   std::uint64_t exact_builds = 0;
   /// Predict-path builds that escalated to the sweep (retune_regret), and
@@ -227,12 +221,6 @@ class PlanCache {
   PlanLease acquire(const PlanKey& key, const Csr& a,
                     const gpusim::DeviceSpec& device);
 
-  /// Unpinned convenience wrapper around acquire(): returns the plan and
-  /// (optionally) whether it was already cached.
-  std::shared_ptr<const CachedPlan> lookup_or_build(
-      const PlanKey& key, const Csr& a, const gpusim::DeviceSpec& device,
-      bool* was_hit = nullptr);
-
   /// Erase every unpinned resident plan whose `PlanKey::graph` equals
   /// `graph_key` (all devices, widths, reduces and shard indices), e.g.
   /// because a graph update made that fingerprint stale. Pinned plans
@@ -244,11 +232,6 @@ class PlanCache {
 
   /// Full counter snapshot (consistent: taken under one lock).
   PlanCacheStats stats() const;
-
-  /// Cache hits / misses / resident plans since construction.
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
-  std::size_t size() const;
 
   /// Resident keys in eviction order (least recently used first) — the
   /// observation hook the LRU-order goldens assert on. Keys carry the
@@ -268,7 +251,7 @@ class PlanCache {
   std::shared_ptr<CachedPlan> build(const PlanKey& key, const Csr& a,
                                     const gpusim::DeviceSpec& device) const;
   /// Fold a freshly built plan into the selection counters (under mu_).
-  void note_build(const CachedPlan& plan);
+  void note_build(const PlanKey& key, const CachedPlan& plan);
   /// Move `e` to the most-recently-used end (call under mu_).
   void touch(Entry& e);
   void unpin(const PlanKey& key);
@@ -278,20 +261,8 @@ class PlanCache {
   std::map<PlanKey, Entry> plans_;
   /// Front = least recently used, back = most recently used.
   std::list<PlanKey> lru_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t inserts_ = 0;
-  std::uint64_t evictions_ = 0;
-  std::uint64_t uncached_builds_ = 0;
-  std::uint64_t predicted_builds_ = 0;
-  std::uint64_t exact_builds_ = 0;
-  std::uint64_t retunes_ = 0;
-  std::uint64_t mispredicts_ = 0;
-  std::uint64_t hybrid_builds_ = 0;
-  std::uint64_t duplicate_builds_ = 0;
-  std::uint64_t invalidations_ = 0;
-  std::size_t peak_size_ = 0;
-  std::size_t pin_count_ = 0;
+  /// Every counter but `size`, which stats() reads from plans_.
+  PlanCacheStats stats_;
 };
 
 }  // namespace gespmm::serve

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace gespmm::serve {
@@ -14,24 +15,34 @@ const char* schedule_policy_name(SchedulePolicy p) {
   return "?";
 }
 
-Scheduler::Scheduler(SchedulerOptions opt, BatchConstraints limits)
-    : opt_(std::move(opt)), limits_(limits) {
+Scheduler::Scheduler(SchedulerOptions opt, BatchConstraints limits,
+                     std::vector<double> tenant_shares)
+    : opt_(opt), limits_(limits), tenant_shares_(std::move(tenant_shares)) {
   if (opt_.quantum < 1) {
     throw std::invalid_argument("Scheduler: quantum must be at least 1");
   }
   if (limits_.max_batch_requests < 1) {
     throw std::invalid_argument("Scheduler: max_batch_requests must be at least 1");
   }
-  for (const double s : opt_.tenant_shares) {
+  // An unlisted tenant weighs 1.0, so the bare quantum is bounded too.
+  // Under the bound deficit + grant and the 4x grant cap fit in index_t.
+  const double max_grant = static_cast<double>(std::numeric_limits<index_t>::max() / 8);
+  if (static_cast<double>(opt_.quantum) > max_grant) {
+    throw std::invalid_argument("Scheduler: quantum too large");
+  }
+  for (const double s : tenant_shares_) {
     if (!(s > 0.0) || !std::isfinite(s)) {
       throw std::invalid_argument("Scheduler: tenant shares must be positive");
+    }
+    if (static_cast<double>(opt_.quantum) * s > max_grant) {
+      throw std::invalid_argument("Scheduler: tenant share too large for the quantum");
     }
   }
 }
 
 index_t Scheduler::weighted_grant(std::uint32_t tenant) const {
   double share = 1.0;
-  if (tenant < opt_.tenant_shares.size()) share = opt_.tenant_shares[tenant];
+  if (tenant < tenant_shares_.size()) share = tenant_shares_[tenant];
   // llround keeps the grant deterministic across platforms; a sub-1 share
   // can never starve (grant floor of one column per visit).
   const auto grant = static_cast<index_t>(
@@ -140,11 +151,6 @@ void Scheduler::deactivate(const QueueKey& key) {
   if (cursor_ >= ring_.size()) cursor_ = 0;
 }
 
-index_t Scheduler::deficit_cap(index_t grant, index_t head_n) const {
-  const index_t cap = opt_.max_deficit > 0 ? opt_.max_deficit : 4 * grant;
-  return std::max(cap, head_n);
-}
-
 std::vector<std::uint64_t> Scheduler::next_batch_fifo() {
   // The globally oldest pending request anchors, wherever it lives — and
   // it may sit in any priority class: a queue whose interactive deque is
@@ -182,7 +188,7 @@ std::vector<std::uint64_t> Scheduler::next_batch_drr() {
     const QueueKey key = ring_[cursor_];
     GraphQueue& gq = queues_.at(key);
     const Item& head = head_of(gq);
-    gq.deficit = std::min(gq.deficit + gq.grant, deficit_cap(gq.grant, head.n));
+    gq.deficit = std::min(gq.deficit + gq.grant, std::max(4 * gq.grant, head.n));
     if (gq.deficit < head.n) {
       // Not enough credit yet; the next rotation adds another grant,
       // so this head ships after at most ceil(n / grant) rotations.

@@ -10,7 +10,7 @@
 /// (registered graph, tenant)* and picks the next batch by deficit
 /// round-robin (DRR, Shreedhar & Varghese): each visit grants the queue
 /// its tenant's *weighted* quantum of width credit —
-/// `quantum * tenant_shares[tenant]` output columns — and a queue ships a
+/// `quantum * share[tenant]` output columns — and a queue ships a
 /// batch only while its credit covers the batch's summed width. Over any
 /// backlogged window every queue therefore serves width proportional to
 /// its tenant's configured share (the weighted-fairness property the
@@ -80,16 +80,11 @@ struct SchedulerOptions {
   /// Width credit (output columns) granted per DRR visit to a share-1.0
   /// tenant. At the default it matches BatchConstraints::max_batch_n, so
   /// a backlogged queue ships one full-width batch per rotation.
+  /// Accumulated credit is capped at 4x the queue's weighted grant,
+  /// bounding the burst an idle-then-busy queue can ship at once; the cap
+  /// never blocks a head request wider than itself, so credit may always
+  /// grow until the head fits.
   index_t quantum = 256;
-  /// Cap on accumulated credit, bounding the burst an idle-then-busy
-  /// queue can ship at once. 0 = auto (4x the queue's weighted quantum).
-  /// The cap never blocks a head request wider than itself: credit may
-  /// always grow until the head fits.
-  index_t max_deficit = 0;
-  /// Per-tenant DRR weights, indexed by `SchedRequest::tenant`. A tenant
-  /// beyond the vector (or an empty vector — the default) weighs 1.0.
-  /// The engine fills this from `ServeOptions::tenants`.
-  std::vector<double> tenant_shares;
 };
 
 /// The scheduling-relevant shape of one admitted request.
@@ -133,7 +128,16 @@ struct GraphServeStats {
 /// Deterministic cross-queue batch scheduler. Not thread-safe.
 class Scheduler {
  public:
-  explicit Scheduler(SchedulerOptions opt = {}, BatchConstraints limits = {});
+  /// `tenant_shares` are the per-tenant DRR weights, indexed by
+  /// `SchedRequest::tenant`; a tenant beyond the vector (or an empty
+  /// vector — the default) weighs 1.0. The engine passes the shares of
+  /// `ServeOptions::tenants`. Throws std::invalid_argument unless every
+  /// share is positive and finite and every weighted grant
+  /// (quantum x share) is at most `std::numeric_limits<index_t>::max() / 8`,
+  /// so credit arithmetic (deficit + grant, the 4x grant cap) cannot
+  /// overflow.
+  explicit Scheduler(SchedulerOptions opt = {}, BatchConstraints limits = {},
+                     std::vector<double> tenant_shares = {});
 
   /// Add an admitted request. `seq` values must be distinct and
   /// increasing across calls (the engine's admission counter).
@@ -185,10 +189,10 @@ class Scheduler {
   std::vector<std::uint64_t> next_batch_fifo();
   std::vector<std::uint64_t> next_batch_drr();
   index_t weighted_grant(std::uint32_t tenant) const;
-  index_t deficit_cap(index_t grant, index_t head_n) const;
 
   SchedulerOptions opt_;
   BatchConstraints limits_;
+  std::vector<double> tenant_shares_;
   std::map<QueueKey, GraphQueue> queues_;
   /// Queues in first-enqueue order (stats order).
   std::vector<QueueKey> seen_order_;

@@ -11,6 +11,7 @@
 
 #include "core/autotune.hpp"
 #include "core/plan_select.hpp"
+#include "kernels/spmm_hybrid.hpp"
 #include "kernels/spmm_problem.hpp"
 #include "serve/engine.hpp"
 #include "serve/fingerprint.hpp"
@@ -197,7 +198,6 @@ AutotuneResult legacy_sweep(const Csr& a, index_t n, const AutotuneOptions& opt)
       res.best = algo;
     }
   }
-  res.gain_over_default = res.times_ms.at(res.default_choice) / best_ms;
   return res;
 }
 
@@ -217,7 +217,6 @@ TEST(Autotune, ExactModeBitwiseEqualsLegacySweep) {
           EXPECT_EQ(got.times_ms.at(algo), ms)
               << kernels::algo_name(algo) << " on " << dev.name;
         }
-        EXPECT_EQ(got.gain_over_default, want.gain_over_default);
         // build_ms is exactly the non-winning candidates' profiling time.
         double others = 0.0;
         for (const auto& [algo, ms] : want.times_ms) {
@@ -275,6 +274,20 @@ TEST(Autotune, RetuneEscalatesToSweepAndFlagsMispredicts) {
   EXPECT_DOUBLE_EQ(trusted.build_ms, 0.0);
 }
 
+TEST(Autotune, NonSumExactPricesOnlyThePredictedKernel) {
+  // The sweep is calibrated for Sum; any other reduction takes the
+  // prediction even in Exact mode, priced once under that reduction.
+  const Csr a = testutil::zoo_skewed();
+  const auto dev = gpusim::rtx2080();
+  const AutotuneResult res = autotune_spmm(a, 128, tune_opts(SelectionMode::Exact, dev),
+                                           kernels::ReduceKind::Max);
+  EXPECT_EQ(res.best, select_spmm_algo(a, 128, dev));
+  EXPECT_EQ(res.times_ms.size(), 1u);
+  EXPECT_EQ(res.build_ms, 0.0);
+  EXPECT_TRUE(res.predicted);
+  EXPECT_FALSE(res.retuned);
+}
+
 // ---------------------------------------------------------------------------
 // Plan cache and engine integration.
 
@@ -287,8 +300,7 @@ TEST(PlanCacheSelection, ModesPopulateBuildCostAndCounters) {
   exact_opt.selection = SelectionMode::Exact;
   exact_opt.sample_blocks = 256;
   PlanCache exact_cache(exact_opt);
-  const auto exact_plan = exact_cache.lookup_or_build(key, a, dev);
-  EXPECT_TRUE(exact_plan->autotuned);
+  const auto exact_plan = exact_cache.acquire(key, a, dev).plan();
   EXPECT_FALSE(exact_plan->predicted);
   EXPECT_GT(exact_plan->build_ms, 0.0);
   EXPECT_EQ(exact_cache.stats().exact_builds, 1u);
@@ -297,7 +309,7 @@ TEST(PlanCacheSelection, ModesPopulateBuildCostAndCounters) {
   PlanCacheOptions pred_opt;
   pred_opt.sample_blocks = 256;  // selection defaults to Predict
   PlanCache pred_cache(pred_opt);
-  const auto pred_plan = pred_cache.lookup_or_build(key, a, dev);
+  const auto pred_plan = pred_cache.acquire(key, a, dev).plan();
   EXPECT_TRUE(pred_plan->predicted);
   EXPECT_DOUBLE_EQ(pred_plan->build_ms, 0.0);
   EXPECT_EQ(pred_plan->algo, exact_plan->algo)
@@ -306,6 +318,59 @@ TEST(PlanCacheSelection, ModesPopulateBuildCostAndCounters) {
       << "same kernel, same pricing simulation — bitwise";
   EXPECT_EQ(pred_cache.stats().predicted_builds, 1u);
   EXPECT_EQ(pred_cache.stats().exact_builds, 0u);
+}
+
+TEST(PlanCacheSelection, NonSumKeysTakeThePredictedKernelInEitherMode) {
+  // The candidate sweep is calibrated for the standard semiring: a
+  // Max/Mean/Min key takes the predicted kernel whatever the selection
+  // mode, priced once under its own reduction, with no selection cost and
+  // no entry in the selection counters. The pruned-DNN matrix has dense
+  // row blocks, so hybrid is a candidate there.
+  const Csr uniform = testutil::zoo_uniform();
+  const Csr skewed = testutil::zoo_skewed();
+  const Csr pruned = sparse::pruned_dnn(4096, 256, 16, 0.85, 11);
+  for (const auto& dev : {gpusim::gtx1080ti(), gpusim::rtx2080()}) {
+    for (const SelectionMode mode : {SelectionMode::Predict, SelectionMode::Exact}) {
+      PlanCacheOptions opt;
+      opt.selection = mode;
+      opt.sample_blocks = 256;
+      PlanCache cache(opt);
+      std::uint64_t graph = 0;
+      std::uint64_t partitioned = 0;
+      for (const Csr* a : {&uniform, &skewed, &pruned}) {
+        ++graph;
+        for (const auto reduce :
+             {kernels::ReduceKind::Max, kernels::ReduceKind::Mean, kernels::ReduceKind::Min}) {
+          for (const index_t n : {64, 128}) {
+            const PlanKey key{graph, dev.name, n, reduce};
+            const auto plan = cache.acquire(key, *a, dev).plan();
+            const SpmmAlgo algo = select_spmm_algo(*a, n, dev);
+            EXPECT_EQ(plan->algo, algo) << dev.name << " n=" << n;
+
+            kernels::SpmmProblem p(*a, n);
+            kernels::SpmmRunOptions ro;
+            ro.device = dev;
+            ro.sample = gpusim::SamplePolicy::sampled(opt.sample_blocks);
+            ro.reduce = reduce;
+            const double want = algo == SpmmAlgo::HybridMma
+                                    ? kernels::run_spmm_hybrid_detailed(p, ro).total.time_ms()
+                                    : kernels::run_spmm(algo, p, ro).time_ms();
+            EXPECT_EQ(plan->modelled_ms, want) << dev.name << " n=" << n;
+            EXPECT_EQ(plan_steps_time_ms(plan->steps), want) << dev.name << " n=" << n;
+            EXPECT_EQ(plan->build_ms, 0.0);
+            if (plan->steps.size() > 1) ++partitioned;
+          }
+        }
+      }
+      EXPECT_GT(partitioned, 0u) << "the pruned-DNN matrix partitions";
+      const auto st = cache.stats();
+      EXPECT_EQ(st.predicted_builds, 0u);
+      EXPECT_EQ(st.exact_builds, 0u);
+      EXPECT_EQ(st.retunes, 0u);
+      EXPECT_EQ(st.mispredicts, 0u);
+      EXPECT_EQ(st.hybrid_builds, partitioned);
+    }
+  }
 }
 
 TEST(PlanCacheSelection, DisabledCacheBuildsUncachedEveryTime) {
@@ -437,7 +502,7 @@ TEST(PlanSelectProperty, PredictorWithinRegretBoundAndMispredictsExact) {
       if (t_pred > t_best) ++observed_regressions;
 
       const PlanKey key{i + 1, dev.name, n, kernels::ReduceKind::Sum};
-      const auto plan = cache.lookup_or_build(key, a, dev);
+      const auto plan = cache.acquire(key, a, dev).plan();
       ++builds;
       EXPECT_TRUE(plan->retuned) << "always-verify must escalate every build";
       EXPECT_EQ(plan->algo, exact.best) << "verified plan keeps the sweep's pick";

@@ -231,22 +231,21 @@ TEST(PlanCacheInvalidate, ErasesOnlyTheStaleGraphRespectingPins) {
   const Csr a = sparse::uniform_random(64, 64, 400, 805);
   const auto dev = gpusim::gtx1080ti();
   serve::PlanCacheOptions opt;
-  opt.autotune = false;
   opt.sample_blocks = 64;
   serve::PlanCache cache(opt);
 
   const auto key = [](std::uint64_t graph, index_t n) {
     return serve::PlanKey{graph, "gtx1080ti", n, kernels::ReduceKind::Sum};
   };
-  cache.lookup_or_build(key(1, 32), a, dev);
-  cache.lookup_or_build(key(1, 64), a, dev);
-  cache.lookup_or_build(key(2, 32), a, dev);
+  cache.acquire(key(1, 32), a, dev);
+  cache.acquire(key(1, 64), a, dev);
+  cache.acquire(key(2, 32), a, dev);
   serve::PlanLease pinned = cache.acquire(key(1, 96), a, dev);
-  ASSERT_EQ(cache.size(), 4u);
+  ASSERT_EQ(cache.stats().size, 4u);
 
   // Only graph 1's unpinned entries go; graph 2 and the pinned plan stay.
   EXPECT_EQ(cache.invalidate(1), 2u);
-  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.stats().size, 2u);
   const auto resident = cache.resident_keys();
   ASSERT_EQ(resident.size(), 2u);
   EXPECT_EQ(resident[0].graph, 2u);

@@ -279,14 +279,14 @@ TEST(ModelServe, CrossLayerAndCrossRequestPlanReuse) {
   ASSERT_EQ(first.status, RequestStatus::Ok);
   // All four layers' widths (32, 32, 32, 8) quantize into the 32-wide
   // plan bucket: one miss builds it, three layer lookups hit.
-  EXPECT_EQ(engine.plan_cache().misses(), 1u);
-  EXPECT_EQ(engine.plan_cache().hits(), 3u);
+  EXPECT_EQ(engine.plan_cache().stats().misses, 1u);
+  EXPECT_EQ(engine.plan_cache().stats().hits, 3u);
   EXPECT_FALSE(first.plan_cache_hit);  // the pass contained the miss
 
   const Ticket second_tk = engine.submit_model(mid, features(128, 32, 2));
   const RequestResult& second = second_tk.wait();
-  EXPECT_EQ(engine.plan_cache().misses(), 1u);
-  EXPECT_EQ(engine.plan_cache().hits(), 7u);
+  EXPECT_EQ(engine.plan_cache().stats().misses, 1u);
+  EXPECT_EQ(engine.plan_cache().stats().hits, 7u);
   EXPECT_TRUE(second.plan_cache_hit);
 
   // Identical inputs -> identical outputs and identical fused price

@@ -368,7 +368,6 @@ TEST(SchedulerDrr, RandomWorkloadDrainsExactlyOnce) {
 
 PlanCacheOptions cache_opts(std::size_t budget) {
   PlanCacheOptions opt;
-  opt.autotune = false;  // fixed-rule builds keep these tests cheap
   opt.sample_blocks = 64;
   opt.max_entries = budget;
   return opt;
@@ -382,11 +381,11 @@ TEST(PlanCacheEviction, LruOrderGolden) {
   const Csr a = sparse::uniform_random(64, 64, 400, 801);
   const auto dev = gpusim::gtx1080ti();
   PlanCache cache(cache_opts(3));
-  cache.lookup_or_build(key_for(1, 32), a, dev);
-  cache.lookup_or_build(key_for(2, 32), a, dev);
-  cache.lookup_or_build(key_for(3, 32), a, dev);
-  cache.lookup_or_build(key_for(1, 32), a, dev);  // touch 1: LRU order 2,3,1
-  cache.lookup_or_build(key_for(4, 32), a, dev);  // evicts 2
+  cache.acquire(key_for(1, 32), a, dev);
+  cache.acquire(key_for(2, 32), a, dev);
+  cache.acquire(key_for(3, 32), a, dev);
+  cache.acquire(key_for(1, 32), a, dev);  // touch 1: LRU order 2,3,1
+  cache.acquire(key_for(4, 32), a, dev);  // evicts 2
 
   const auto keys = cache.resident_keys();
   ASSERT_EQ(keys.size(), 3u);
@@ -430,7 +429,7 @@ TEST(PlanCacheEviction, PinnedPlanSurvivesFullBudget) {
   // Unpin; the next insert may now evict the old resident.
   pinned.release();
   EXPECT_EQ(cache.stats().pinned, 0u);
-  cache.lookup_or_build(key_for(2, 32), a, dev);
+  cache.acquire(key_for(2, 32), a, dev);
   st = cache.stats();
   EXPECT_EQ(st.evictions, 1u);
   EXPECT_EQ(st.size, 1u);
@@ -451,11 +450,11 @@ TEST(PlanCacheEviction, BudgetOneThrashStaysCorrect) {
     for (const std::uint64_t g : {std::uint64_t{1}, std::uint64_t{2}}) {
       // Distinct widths per key exercise requantization too.
       const index_t n = g == 1 ? 32 : 64;
-      const auto got = cache.lookup_or_build(key_for(g, n), a, dev);
-      const auto want = reference.lookup_or_build(key_for(g, n), a, dev);
+      const auto got = cache.acquire(key_for(g, n), a, dev).plan();
+      const auto want = reference.acquire(key_for(g, n), a, dev).plan();
       EXPECT_EQ(got->algo, want->algo);
       EXPECT_DOUBLE_EQ(got->modelled_ms, want->modelled_ms);
-      EXPECT_LE(cache.size(), 1u);
+      EXPECT_LE(cache.stats().size, 1u);
     }
   }
   const auto st = cache.stats();
@@ -477,8 +476,8 @@ TEST(PlanCacheAccounting, MissLedgerReconcilesSequentially) {
   const auto dev = gpusim::gtx1080ti();
   PlanCache cache(cache_opts(2));
 
-  cache.lookup_or_build(key_for(1, 32), a, dev);  // miss -> insert
-  cache.lookup_or_build(key_for(1, 32), a, dev);  // hit
+  cache.acquire(key_for(1, 32), a, dev);  // miss -> insert
+  cache.acquire(key_for(1, 32), a, dev);  // hit
   serve::PlanLease p1 = cache.acquire(key_for(2, 32), a, dev);  // miss
   serve::PlanLease p2 = cache.acquire(key_for(3, 32), a, dev);  // evicts 1
   // Budget now full of pinned plans: an uncached build.
@@ -501,7 +500,7 @@ TEST(PlanCacheAccounting, RacingBuildersReconcileAndKeepSelectionHonest) {
   // the predicted+exact == kept-builds identity).
   const Csr a = sparse::uniform_random(64, 64, 400, 805);
   const auto dev = gpusim::gtx1080ti();
-  PlanCacheOptions opt;  // autotune on: builds go through selection
+  PlanCacheOptions opt;
   opt.sample_blocks = 64;
   PlanCache cache(opt);
 
@@ -510,7 +509,7 @@ TEST(PlanCacheAccounting, RacingBuildersReconcileAndKeepSelectionHonest) {
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back(
-        [&] { cache.lookup_or_build(key_for(7, 32), a, dev); });
+        [&] { cache.acquire(key_for(7, 32), a, dev); });
   }
   for (auto& th : threads) th.join();
 
@@ -522,7 +521,7 @@ TEST(PlanCacheAccounting, RacingBuildersReconcileAndKeepSelectionHonest) {
   // Kept builds only: however many threads raced, selection ran the
   // predictor exactly once for the one plan that survived.
   EXPECT_EQ(st.predicted_builds + st.exact_builds, 1u);
-  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.stats().size, 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -201,11 +201,56 @@ TEST(Tenancy, RosterValidationAtConstruction) {
 }
 
 TEST(Tenancy, SchedulerRejectsInvalidShares) {
-  SchedulerOptions opt;
-  opt.tenant_shares = {1.0, 0.0};
-  EXPECT_THROW(Scheduler{opt}, std::invalid_argument);
-  opt.tenant_shares = {1.0, std::numeric_limits<double>::quiet_NaN()};
-  EXPECT_THROW(Scheduler{opt}, std::invalid_argument);
+  const SchedulerOptions opt;
+  EXPECT_THROW((Scheduler{opt, {}, {1.0, 0.0}}), std::invalid_argument);
+  EXPECT_THROW((Scheduler{opt, {}, {1.0, std::numeric_limits<double>::quiet_NaN()}}),
+               std::invalid_argument);
+}
+
+TEST(Tenancy, OversizedShareRejectedBeforeGrantOverflows) {
+  // At the default quantum (256), a share of 3e6 makes 4 x grant overflow
+  // index_t and a share of 1e7 wraps the grant itself negative, which
+  // would starve the heaviest tenant. Both are rejected up front, by the
+  // Scheduler and therefore by the Engine; 1e6 is still in range.
+  const SchedulerOptions opt;
+  auto with_shares = [](double big) {
+    ServeOptions o = det_opts();
+    o.tenants = {{"big", {.share = big}}, {"small", {.share = 1.0}}};
+    return o;
+  };
+  for (const double big : {3e6, 1e7}) {
+    EXPECT_THROW((Scheduler{opt, {}, {1.0, big}}), std::invalid_argument) << big;
+    EXPECT_THROW(Engine{with_shares(big)}, std::invalid_argument) << big;
+  }
+  // A tenant beyond the share vector weighs 1.0, so the quantum alone is
+  // bounded the same way.
+  SchedulerOptions huge;
+  huge.quantum = std::numeric_limits<index_t>::max() / 4;
+  EXPECT_THROW(Scheduler{huge}, std::invalid_argument);
+
+  // Two backlogged queues of 64-wide requests: both tenants are served.
+  Scheduler sched(opt, {}, {1.0, 1e6});
+  for (std::uint64_t seq = 0; seq < 400; ++seq) {
+    sched.enqueue({seq, /*graph=*/1, /*n=*/64, ReduceKind::Sum,
+                   Priority::Interactive, false, static_cast<std::uint32_t>(seq % 2)});
+  }
+  std::uint64_t width[2] = {0, 0};
+  for (int b = 0; b < 40; ++b) {
+    const auto batch = sched.next_batch();
+    ASSERT_FALSE(batch.empty());
+    for (const std::uint64_t s : batch) width[s % 2] += 64;
+  }
+  EXPECT_GT(width[0], 0u);
+  EXPECT_GE(width[1], width[0]) << "the share-1e6 tenant is served at least as much";
+
+  Engine eng(with_shares(1e6));
+  const Csr a = testutil::zoo_uniform();
+  const GraphId id = eng.register_graph(a);
+  Ticket big = eng.submit(id, features(a.cols, 16, 710), {.tenant = "big"});
+  Ticket small = eng.submit(id, features(a.cols, 16, 711), {.tenant = "small"});
+  eng.shutdown();
+  EXPECT_EQ(big.wait().status, serve::RequestStatus::Ok);
+  EXPECT_EQ(small.wait().status, serve::RequestStatus::Ok);
 }
 
 // ---------------------------------------------------------------------------
@@ -214,8 +259,7 @@ TEST(Tenancy, SchedulerRejectsInvalidShares) {
 TEST(WeightedDrr, SharesScaleServedWidthGolden) {
   SchedulerOptions opt;
   opt.quantum = 32;
-  opt.tenant_shares = {3.0, 1.0};  // tenant 0 earns 96/visit, tenant 1: 32
-  Scheduler sched(opt);
+  Scheduler sched(opt, {}, {3.0, 1.0});  // tenant 0 earns 96/visit, tenant 1: 32
 
   // Two backlogged (same-graph, different-tenant) queues of width-32
   // requests: per ring rotation tenant 0 ships 3 requests' width for
@@ -250,8 +294,7 @@ TEST(WeightedDrr, PropertySweepServesProportionallyUnderBacklog) {
   sparse::SplitMix64 rng(0xfa1234);
   SchedulerOptions opt;
   opt.quantum = 64;
-  opt.tenant_shares = {1.0, 2.0, 4.0};
-  Scheduler sched(opt);
+  Scheduler sched(opt, {}, {1.0, 2.0, 4.0});
 
   std::vector<std::uint32_t> tenant_of;
   std::uint64_t seq = 0;
@@ -287,8 +330,7 @@ TEST(WeightedDrr, SingleDefaultTenantMatchesUnweightedGolden) {
   auto run = [](std::vector<double> shares) {
     SchedulerOptions opt;
     opt.quantum = 64;
-    opt.tenant_shares = std::move(shares);
-    Scheduler sched(opt);
+    Scheduler sched(opt, {}, std::move(shares));
     sparse::SplitMix64 rng(0xbeef);
     for (std::uint64_t s = 0; s < 200; ++s) {
       sched.enqueue({s, 1 + rng.next_below(3),

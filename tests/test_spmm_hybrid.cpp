@@ -413,8 +413,8 @@ TEST(HybridServe, ShardHaloPricingComposesWithPartitionSteps) {
     serve::PlanCache fresh(opt.plan);
     const serve::PlanKey key{s.key, opt.devices[static_cast<std::size_t>(s.index)].name,
                              n, ReduceKind::Sum, s.index};
-    const auto plan = fresh.lookup_or_build(
-        key, s.csr, opt.devices[static_cast<std::size_t>(s.index)]);
+    const auto plan =
+        fresh.acquire(key, s.csr, opt.devices[static_cast<std::size_t>(s.index)]).plan();
     EXPECT_DOUBLE_EQ(plan->modelled_ms, plan_steps_time_ms(plan->steps));
     const double gather_ms = static_cast<double>(s.halo_cols) *
                              static_cast<double>(n) * sizeof(value_t) /
