@@ -27,7 +27,6 @@ class Reporter {
            int n, double time_ms, double speedup = 0.0, bool wallclock = false);
 
   const BenchReport& report() const { return report_; }
-  const std::string& current_bench() const { return bench_id_; }
 
   /// Serialize (records + recomputed rollups) to `path`; returns false on
   /// I/O failure.

@@ -33,27 +33,7 @@ void spmm(const Csr& a, const DenseMatrix& b, DenseMatrix& c, ReduceKind reduce)
 void spmm_like(const Csr& a, const DenseMatrix& b, DenseMatrix& c,
                const CustomReduceOp& op) {
   check_shapes(a, b, c);
-  if (!op.init || !op.reduce) {
-    throw std::invalid_argument("spmm_like: init and reduce are required");
-  }
-  auto combine = op.combine ? op.combine
-                            : [](value_t x, value_t y) { return x * y; };
-  auto finalize = op.finalize ? op.finalize
-                              : [](value_t acc, index_t) { return acc; };
-  const index_t n = b.cols();
-#pragma omp parallel for schedule(dynamic, 64)
-  for (index_t i = 0; i < a.rows; ++i) {
-    const index_t lo = a.rowptr[static_cast<std::size_t>(i)];
-    const index_t hi = a.rowptr[static_cast<std::size_t>(i) + 1];
-    for (index_t j = 0; j < n; ++j) {
-      value_t acc = op.init();
-      for (index_t p = lo; p < hi; ++p) {
-        const index_t k = a.colind[static_cast<std::size_t>(p)];
-        acc = op.reduce(acc, combine(a.val[static_cast<std::size_t>(p)], b.at(k, j)));
-      }
-      c.at(i, j) = finalize(acc, hi - lo);
-    }
-  }
+  kernels::spmm_host_parallel(a, b, c, op);
 }
 
 SpmmProfile profile_spmm(const Csr& a, const DenseMatrix& b, DenseMatrix& c,

@@ -16,8 +16,6 @@
 /// N <= 32, CRC+CWM with CF=2 (Algorithm 3) when N > 32. Both are
 /// overridable.
 
-#include <functional>
-
 #include "gpusim/launch.hpp"
 #include "kernels/dense.hpp"
 #include "kernels/registry.hpp"
@@ -34,23 +32,18 @@ using sparse::Csr;
 using sparse::index_t;
 using sparse::value_t;
 
-/// C = A (*) B with one of the built-in reductions. C must be
-/// A.rows x B.cols and row-major. Host execution, OpenMP-parallel.
+/// C = A (*) B with one of the built-in reductions. B must be
+/// A.cols x N and C A.rows x N, both row-major; throws
+/// std::invalid_argument otherwise. Host execution, OpenMP-parallel.
 void spmm(const Csr& a, const DenseMatrix& b, DenseMatrix& c,
           ReduceKind reduce = ReduceKind::Sum);
 
 /// User-defined SpMM-like operation (paper Section IV-A): the caller
-/// provides init / reduce / finalize. reduce must be associative and
-/// commutative for the parallel execution to be well-defined.
-struct CustomReduceOp {
-  std::function<value_t()> init;
-  std::function<value_t(value_t acc, value_t x)> reduce;
-  /// Called with (acc, row_nnz); defaults to identity on acc.
-  std::function<value_t(value_t acc, index_t row_nnz)> finalize;
-  /// Combines A's value with B's element before reduction; defaults to
-  /// multiplication.
-  std::function<value_t(value_t a, value_t b)> combine;
-};
+/// provides init and reduce, and optionally combine and finalize (see
+/// kernels::CustomReduceOp). Runs the same host fold as spmm(), with the
+/// same shape and layout contract; also throws std::invalid_argument when
+/// init or reduce is missing.
+using kernels::CustomReduceOp;
 void spmm_like(const Csr& a, const DenseMatrix& b, DenseMatrix& c,
                const CustomReduceOp& op);
 

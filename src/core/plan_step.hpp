@@ -24,10 +24,6 @@ enum class StepPipe {
   Mma,   ///< Tensor-core path (dense-tile mma issues).
 };
 
-inline const char* step_pipe_name(StepPipe p) {
-  return p == StepPipe::Mma ? "mma" : "simt";
-}
-
 /// One row-partition step of a compiled plan.
 struct PlanStep {
   /// Kernel the step's launch dispatches to. For a hybrid plan both steps

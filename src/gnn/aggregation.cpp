@@ -1,7 +1,9 @@
 #include "gnn/aggregation.hpp"
 
-#include <limits>
+#include <algorithm>
+#include <stdexcept>
 
+#include "kernels/spmm_host.hpp"
 #include "kernels/spmm_problem.hpp"
 
 namespace gespmm::gnn {
@@ -98,80 +100,49 @@ double GnnGraph::aggregation_time_ms(AggregatorBackend backend, ReduceKind reduc
   return ms;
 }
 
-AggregationResult aggregate_forward(const sparse::Csr& a, const Tensor& x,
-                                    ReduceKind reduce) {
-  AggregationResult res;
-  const index_t n = x.cols();
-  res.out = Tensor(a.rows, n);
-  if (reduce == ReduceKind::Max) {
-    res.argmax.assign(static_cast<std::size_t>(a.rows) * n, -1);
+Tensor aggregate_forward(const sparse::Csr& a, const Tensor& x, ReduceKind reduce) {
+  if (x.rows() != a.cols) {
+    throw std::invalid_argument("aggregate_forward: x must have A.cols rows");
   }
-
-#pragma omp parallel for schedule(dynamic, 64)
-  for (index_t i = 0; i < a.rows; ++i) {
-    const index_t lo = a.rowptr[static_cast<std::size_t>(i)];
-    const index_t hi = a.rowptr[static_cast<std::size_t>(i) + 1];
-    for (index_t j = 0; j < n; ++j) {
-      switch (reduce) {
-        case ReduceKind::Sum:
-        case ReduceKind::Mean: {
-          value_t acc = 0.0f;
-          for (index_t p = lo; p < hi; ++p) {
-            acc += a.val[static_cast<std::size_t>(p)] *
-                   x.at(a.colind[static_cast<std::size_t>(p)], j);
-          }
-          if (reduce == ReduceKind::Mean && hi > lo) {
-            acc /= static_cast<value_t>(hi - lo);
-          }
-          res.out.at(i, j) = acc;
-          break;
-        }
-        case ReduceKind::Max: {
-          value_t best = -std::numeric_limits<value_t>::infinity();
-          index_t best_p = -1;
-          for (index_t p = lo; p < hi; ++p) {
-            const value_t v = a.val[static_cast<std::size_t>(p)] *
-                              x.at(a.colind[static_cast<std::size_t>(p)], j);
-            if (v > best) {
-              best = v;
-              best_p = p;
-            }
-          }
-          res.out.at(i, j) = best_p >= 0 ? best : 0.0f;
-          res.argmax[static_cast<std::size_t>(i) * n + j] = best_p;
-          break;
-        }
-        case ReduceKind::Min: {
-          value_t best = std::numeric_limits<value_t>::infinity();
-          for (index_t p = lo; p < hi; ++p) {
-            best = std::min(best, a.val[static_cast<std::size_t>(p)] *
-                                      x.at(a.colind[static_cast<std::size_t>(p)], j));
-          }
-          res.out.at(i, j) = hi > lo ? best : 0.0f;
-          break;
-        }
-      }
-    }
-  }
-  return res;
+  Tensor out(a.rows, x.cols());
+  kernels::spmm_host_rows(a, x.flat().data(), out.flat().data(), x.cols(), reduce);
+  return out;
 }
 
 Tensor aggregate_backward_sum(const sparse::Csr& at, const Tensor& dy) {
   // dX = A^T dY, computed as another SpMM over the transposed operand.
-  const auto r = aggregate_forward(at, dy, ReduceKind::Sum);
-  return r.out;
+  return aggregate_forward(at, dy, ReduceKind::Sum);
 }
 
-Tensor aggregate_backward_max(const sparse::Csr& a, const std::vector<index_t>& argmax,
-                              const Tensor& dy, index_t x_rows) {
-  Tensor dx(x_rows, dy.cols());
+Tensor aggregate_backward_mean(const sparse::Csr& a, const sparse::Csr& at,
+                               const Tensor& dy) {
+  Tensor scaled(dy.rows(), dy.cols());
+  for (index_t i = 0; i < a.rows; ++i) {
+    const index_t nnz = a.rowptr[static_cast<std::size_t>(i) + 1] -
+                        a.rowptr[static_cast<std::size_t>(i)];
+    for (index_t j = 0; j < dy.cols(); ++j) {
+      scaled.at(i, j) = nnz == 0 ? 0.0f : dy.at(i, j) / static_cast<value_t>(nnz);
+    }
+  }
+  return aggregate_backward_sum(at, scaled);
+}
+
+Tensor aggregate_backward_select(const sparse::Csr& a, const Tensor& x, const Tensor& y,
+                                 const Tensor& dy) {
+  Tensor dx(x.rows(), dy.cols());
   const index_t n = dy.cols();
   for (index_t i = 0; i < a.rows; ++i) {
+    const index_t lo = a.rowptr[static_cast<std::size_t>(i)];
+    const index_t hi = a.rowptr[static_cast<std::size_t>(i) + 1];
     for (index_t j = 0; j < n; ++j) {
-      const index_t p = argmax[static_cast<std::size_t>(i) * n + j];
-      if (p < 0) continue;
-      dx.at(a.colind[static_cast<std::size_t>(p)], j) +=
-          a.val[static_cast<std::size_t>(p)] * dy.at(i, j);
+      for (index_t p = lo; p < hi; ++p) {
+        const index_t k = a.colind[static_cast<std::size_t>(p)];
+        const value_t v = a.val[static_cast<std::size_t>(p)];
+        if (v * x.at(k, j) == y.at(i, j)) {
+          dx.at(k, j) += v * dy.at(i, j);
+          break;
+        }
+      }
     }
   }
   return dx;

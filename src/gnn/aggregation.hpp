@@ -12,7 +12,6 @@
 
 #include <map>
 #include <memory>
-#include <vector>
 
 #include "gnn/device_cost.hpp"
 #include "gnn/tensor.hpp"
@@ -56,22 +55,27 @@ class GnnGraph {
   std::uint64_t fingerprint_ = 0;
 };
 
-/// Functional forward aggregation; for Max the winning nonzero index per
-/// output element is recorded for the backward pass.
-struct AggregationResult {
-  Tensor out;
-  /// argmax[i * n + j] = index into colind/val of the winner, or -1.
-  std::vector<index_t> argmax;
-};
-AggregationResult aggregate_forward(const sparse::Csr& a, const Tensor& x,
-                                    ReduceKind reduce);
+/// Forward aggregation: out = A (*) x under `reduce`, computed by the host
+/// fold (kernels::spmm_host_rows), so every reduction follows its
+/// kernels::*Reduce semiring bit for bit. Throws std::invalid_argument
+/// unless x.rows() == a.cols.
+Tensor aggregate_forward(const sparse::Csr& a, const Tensor& x, ReduceKind reduce);
 
 /// Backward of sum-aggregation: dX = A^T * dY (A^T passed explicitly).
 Tensor aggregate_backward_sum(const sparse::Csr& a_transposed, const Tensor& dy);
 
-/// Backward of max-aggregation: route each output gradient to the winning
-/// input row. `x_rows` is the input's row count.
-Tensor aggregate_backward_max(const sparse::Csr& a, const std::vector<index_t>& argmax,
-                              const Tensor& dy, index_t x_rows);
+/// Backward of mean-aggregation: dX = A^T * (dY / row nnz), each row of dY
+/// divided by its row's nonzero count in A. Empty rows contribute nothing.
+Tensor aggregate_backward_mean(const sparse::Csr& a, const sparse::Csr& a_transposed,
+                               const Tensor& dy);
+
+/// Backward of max- and min-aggregation, from the forward input `x` and
+/// output `y = aggregate_forward(a, x, reduce)`: each output gradient
+/// dY[i][j], times the nonzero's value, goes to the first nonzero p of row
+/// i (CSR order) whose product val[p] * x[colind[p]][j] equals y[i][j]:
+/// the first maximum (minimum). An output that no product equals (an empty
+/// row, or a NaN) routes nothing.
+Tensor aggregate_backward_select(const sparse::Csr& a, const Tensor& x, const Tensor& y,
+                                 const Tensor& dy);
 
 }  // namespace gespmm::gnn

@@ -115,8 +115,7 @@ VarPtr Engine::concat(const VarPtr& a, const VarPtr& b) {
 
 VarPtr Engine::aggregate(const GnnGraph& g, const VarPtr& x, AggregatorBackend backend,
                          ReduceKind reduce) {
-  auto fwd = aggregate_forward(g.forward_csr(), x->value, reduce);
-  auto out = std::make_shared<Var>(std::move(fwd.out), true);
+  auto out = std::make_shared<Var>(aggregate_forward(g.forward_csr(), x->value, reduce), true);
   const index_t n = x->value.cols();
   const bool is_like = reduce != ReduceKind::Sum;
   const OpKind kind = is_like ? OpKind::SpmmLike : OpKind::Spmm;
@@ -125,16 +124,20 @@ VarPtr Engine::aggregate(const GnnGraph& g, const VarPtr& x, AggregatorBackend b
 
   VarPtr xc = x;
   Var* op = out.get();
-  auto argmax = std::make_shared<std::vector<index_t>>(std::move(fwd.argmax));
-  out->backward_fn = [this, &g, xc, op, backend, reduce, kind, argmax, n]() {
+  out->backward_fn = [this, &g, xc, op, backend, reduce, kind, n]() {
     if (!xc->requires_grad) return;
-    if (reduce == ReduceKind::Max) {
-      xc->add_grad(aggregate_backward_max(g.forward_csr(), *argmax, op->grad,
-                                          xc->value.rows()));
-    } else {
-      // Mean backward: route through A^T with the same 1/deg scaling
-      // folded into values — our graphs pre-normalize, so sum suffices.
-      xc->add_grad(aggregate_backward_sum(g.backward_csr(), op->grad));
+    switch (reduce) {
+      case ReduceKind::Sum:
+        xc->add_grad(aggregate_backward_sum(g.backward_csr(), op->grad));
+        break;
+      case ReduceKind::Mean:
+        xc->add_grad(aggregate_backward_mean(g.forward_csr(), g.backward_csr(), op->grad));
+        break;
+      case ReduceKind::Max:
+      case ReduceKind::Min:
+        xc->add_grad(
+            aggregate_backward_select(g.forward_csr(), xc->value, op->value, op->grad));
+        break;
     }
     profiler_.record(kind, std::string("aggregate.bwd.") + backend_name(backend),
                      g.aggregation_time_ms(backend, reduce, n, /*transposed=*/true));

@@ -23,7 +23,6 @@ class Tensor {
       : rows_(rows), cols_(cols),
         data_(static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols), fill) {}
 
-  static Tensor zeros(index_t rows, index_t cols) { return Tensor(rows, cols); }
   /// Glorot-style deterministic init.
   static Tensor glorot(index_t rows, index_t cols, std::uint64_t seed);
 

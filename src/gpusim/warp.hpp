@@ -90,10 +90,6 @@ class WarpCtx {
 
   long long block_id() const { return block_id_; }
   int warp_in_block() const { return warp_in_block_; }
-  /// Global thread index of lane 0 given the block dimension.
-  long long thread_base(int block_dim) const {
-    return block_id_ * block_dim + static_cast<long long>(warp_in_block_) * kWarpSize;
-  }
 
   // --- Global memory: loads ---
 

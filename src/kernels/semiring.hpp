@@ -1,11 +1,15 @@
 #pragma once
 /// \file semiring.hpp
 /// Generalized reduction operators for SpMM-like operations (paper Section
-/// IV-A): the user provides an initialization value and an associative,
-/// commutative reduce function, inlined at compile time. Standard SpMM is
-/// the (0, +) instance; GraphSAGE-pool's max-aggregation is the (-inf, max)
-/// instance; mean aggregation divides by the row length in finalize().
+/// IV-A): an initialization value, a combine of A's value with B's element,
+/// a reduce function and a finalize on the row length. The built-in
+/// semirings are empty structs of static functions, inlined at compile
+/// time; CustomReduceOp carries user-defined callbacks through the same
+/// interface. Standard SpMM is the (0, +) instance; GraphSAGE-pool's
+/// max-aggregation is the (-inf, max) instance; mean aggregation divides
+/// by the row length in finalize().
 
+#include <functional>
 #include <limits>
 
 #include "sparse/csr.hpp"
@@ -68,6 +72,21 @@ struct MeanReduce {
   static value_t finalize(value_t acc, index_t row_nnz) {
     return row_nnz == 0 ? 0.0f : acc / static_cast<value_t>(row_nnz);
   }
+};
+
+/// User-defined SpMM-like operation (paper Section IV-A). The host fold
+/// calls the callbacks concurrently from OpenMP threads, so they must be
+/// safe to call at the same time. Each output element folds its row's
+/// nonzeros in CSR order, from init() through finalize(), so the result is
+/// deterministic whether or not reduce is associative or commutative.
+struct CustomReduceOp {
+  std::function<value_t()> init;
+  std::function<value_t(value_t acc, value_t x)> reduce;
+  /// Called with (acc, row_nnz); defaults to identity on acc.
+  std::function<value_t(value_t acc, index_t row_nnz)> finalize;
+  /// Combines A's value with B's element before reduction; defaults to
+  /// multiplication.
+  std::function<value_t(value_t a, value_t b)> combine;
 };
 
 /// Dispatch a callable templated on the semiring type over a runtime kind:

@@ -57,16 +57,16 @@ struct PrefetchCursor {
 /// Fold row i of A into the Width consecutive columns of C that start at
 /// column j0 (B and C row-major, n columns; c points at the output row for
 /// A's row 0). Every accumulator lane folds the row's nonzeros in CSR order
-/// from R::init(), exactly as the reference does for its column. With
+/// from r.init(), exactly as the reference does for its column. With
 /// Prefetch, each nonzero's fold first advances `ahead` kPrefetchAhead
 /// nonzeros past itself.
-template <typename R, index_t Width, bool Prefetch = false>
-void fold_row_tile(const sparse::Csr& a, index_t i, const value_t* b, value_t* c,
+template <index_t Width, bool Prefetch = false, typename R>
+void fold_row_tile(const R& r, const sparse::Csr& a, index_t i, const value_t* b, value_t* c,
                    index_t n, index_t j0, PrefetchCursor* ahead = nullptr) {
   const index_t lo = a.rowptr[static_cast<std::size_t>(i)];
   const index_t hi = a.rowptr[static_cast<std::size_t>(i) + 1];
   value_t acc[Width];
-  for (index_t t = 0; t < Width; ++t) acc[t] = R::init();
+  for (index_t t = 0; t < Width; ++t) acc[t] = r.init();
   for (index_t p = lo; p < hi; ++p) {
     if constexpr (Prefetch) ahead->run_ahead_of(p);
     const value_t v = a.val[static_cast<std::size_t>(p)];
@@ -74,76 +74,49 @@ void fold_row_tile(const sparse::Csr& a, index_t i, const value_t* b, value_t* c
         b + static_cast<std::size_t>(a.colind[static_cast<std::size_t>(p)]) *
                 static_cast<std::size_t>(n) +
         static_cast<std::size_t>(j0);
-    for (index_t t = 0; t < Width; ++t) acc[t] = R::reduce(acc[t], R::combine(v, bk[t]));
+    for (index_t t = 0; t < Width; ++t) acc[t] = r.reduce(acc[t], r.combine(v, bk[t]));
   }
   value_t* ci = c + static_cast<std::size_t>(i) * static_cast<std::size_t>(n) +
                 static_cast<std::size_t>(j0);
-  for (index_t t = 0; t < Width; ++t) ci[t] = R::finalize(acc[t], hi - lo);
+  for (index_t t = 0; t < Width; ++t) ci[t] = r.finalize(acc[t], hi - lo);
 }
 
-/// Row-major B and C: per row, one walk of (colind, val) per column tile
-/// (CRC's reuse of a loaded sparse row), each tile's columns owned by
-/// fixed accumulator lanes (CWM). Columns past the last full tile fold one
-/// at a time. When a B row spans more than one cache line, the first
-/// tile's walk drives the chunk's prefetch cursor, which also crosses into
-/// the next rows. At 16 columns or fewer a B row holds at most one line's
-/// worth of bytes, and prefetching measured slower.
+/// The fold over all of A's rows: per row, one walk of (colind, val) per
+/// column tile (CRC's reuse of a loaded sparse row), each tile's columns
+/// owned by fixed accumulator lanes (CWM). Columns past the last full tile
+/// fold one at a time. When a B row spans more than one cache line, the
+/// first tile's walk drives the chunk's prefetch cursor, which also
+/// crosses into the next rows. At 16 columns or fewer a B row holds at
+/// most one line's worth of bytes, and prefetching measured slower.
 template <typename R>
-void spmm_row_major_tiled(const sparse::Csr& a, const DenseMatrix& b, DenseMatrix& c,
-                          index_t row_begin) {
-  const index_t n = b.cols();
+void fold_rows(const R& r, const sparse::Csr& a, const value_t* b, value_t* c, index_t n) {
   const index_t full = n - n % kColumnTile;
   const bool prefetch = static_cast<std::size_t>(n) * sizeof(value_t) > kCacheLine;
-  const value_t* bp = b.device().data();
-  value_t* cp = c.device().data() + c.offset(row_begin, 0);
   const index_t chunks = a.rows / kRowChunk + (a.rows % kRowChunk != 0 ? 1 : 0);
 #pragma omp parallel for schedule(dynamic, 1)
   for (index_t chunk = 0; chunk < chunks; ++chunk) {
     const index_t r0 = chunk * kRowChunk;
     const index_t r1 = a.rows - r0 > kRowChunk ? r0 + kRowChunk : a.rows;
-    PrefetchCursor ahead{a, bp, n, a.rowptr[static_cast<std::size_t>(r0)],
+    PrefetchCursor ahead{a, b, n, a.rowptr[static_cast<std::size_t>(r0)],
                          a.rowptr[static_cast<std::size_t>(r1)]};
     for (index_t i = r0; i < r1; ++i) {
       index_t j0 = 0;
       if (prefetch) {
-        fold_row_tile<R, kColumnTile, true>(a, i, bp, cp, n, 0, &ahead);
+        fold_row_tile<kColumnTile, true>(r, a, i, b, c, n, 0, &ahead);
         j0 = kColumnTile;
       }
-      for (; j0 < full; j0 += kColumnTile) fold_row_tile<R, kColumnTile>(a, i, bp, cp, n, j0);
-      for (index_t j = full; j < n; ++j) fold_row_tile<R, 1>(a, i, bp, cp, n, j);
+      for (; j0 < full; j0 += kColumnTile) fold_row_tile<kColumnTile>(r, a, i, b, c, n, j0);
+      for (index_t j = full; j < n; ++j) fold_row_tile<1>(r, a, i, b, c, n, j);
     }
   }
 }
 
-/// Any column-major operand: one CSR walk per output element.
-template <typename R>
-void spmm_any_layout(const sparse::Csr& a, const DenseMatrix& b, DenseMatrix& c,
-                     index_t row_begin) {
-  const index_t n = b.cols();
-#pragma omp parallel for schedule(dynamic, 64)
-  for (index_t i = 0; i < a.rows; ++i) {
-    const index_t lo = a.rowptr[static_cast<std::size_t>(i)];
-    const index_t hi = a.rowptr[static_cast<std::size_t>(i) + 1];
-    for (index_t j = 0; j < n; ++j) {
-      value_t acc = R::init();
-      for (index_t p = lo; p < hi; ++p) {
-        const index_t k = a.colind[static_cast<std::size_t>(p)];
-        acc = R::reduce(acc, R::combine(a.val[static_cast<std::size_t>(p)], b.at(k, j)));
-      }
-      c.at(row_begin + i, j) = R::finalize(acc, hi - lo);
-    }
+/// The shape and layout contract of both spmm_host_parallel overloads.
+void check_operands(const sparse::Csr& a, const DenseMatrix& b, const DenseMatrix& c,
+                    index_t row_begin) {
+  if (b.layout() != Layout::RowMajor || c.layout() != Layout::RowMajor) {
+    throw std::invalid_argument("spmm_host_parallel: B and C must be row-major");
   }
-}
-
-}  // namespace
-
-void spmm_host_reference(const sparse::Csr& a, const DenseMatrix& b, DenseMatrix& c,
-                         ReduceKind kind) {
-  with_semiring(kind, [&]<typename R>() { spmm_host_reference<R>(a, b, c); });
-}
-
-void spmm_host_parallel(const sparse::Csr& a, const DenseMatrix& b, DenseMatrix& c,
-                        ReduceKind kind, index_t row_begin) {
   if (b.rows() != a.cols) {
     throw std::invalid_argument("spmm_host_parallel: B must have A.cols rows");
   }
@@ -154,13 +127,37 @@ void spmm_host_parallel(const sparse::Csr& a, const DenseMatrix& b, DenseMatrix&
     throw std::invalid_argument(
         "spmm_host_parallel: C rows [row_begin, row_begin + A.rows) out of range");
   }
-  with_semiring(kind, [&]<typename R>() {
-    if (b.layout() == Layout::RowMajor && c.layout() == Layout::RowMajor) {
-      spmm_row_major_tiled<R>(a, b, c, row_begin);
-    } else {
-      spmm_any_layout<R>(a, b, c, row_begin);
-    }
-  });
+}
+
+}  // namespace
+
+void spmm_host_reference(const sparse::Csr& a, const DenseMatrix& b, DenseMatrix& c,
+                         ReduceKind kind) {
+  with_semiring(kind, [&]<typename R>() { spmm_host_reference<R>(a, b, c); });
+}
+
+void spmm_host_rows(const sparse::Csr& a, const value_t* b, value_t* c, index_t n,
+                    ReduceKind kind) {
+  with_semiring(kind, [&]<typename R>() { fold_rows(R{}, a, b, c, n); });
+}
+
+void spmm_host_parallel(const sparse::Csr& a, const DenseMatrix& b, DenseMatrix& c,
+                        ReduceKind kind, index_t row_begin) {
+  check_operands(a, b, c, row_begin);
+  spmm_host_rows(a, b.device().data(), c.device().data() + c.offset(row_begin, 0), b.cols(),
+                 kind);
+}
+
+void spmm_host_parallel(const sparse::Csr& a, const DenseMatrix& b, DenseMatrix& c,
+                        const CustomReduceOp& op) {
+  check_operands(a, b, c, 0);
+  if (!op.init || !op.reduce) {
+    throw std::invalid_argument("spmm_host_parallel: init and reduce are required");
+  }
+  CustomReduceOp r = op;
+  if (!r.combine) r.combine = [](value_t x, value_t y) { return x * y; };
+  if (!r.finalize) r.finalize = [](value_t acc, index_t) { return acc; };
+  fold_rows(r, a, b.device().data(), c.device().data(), b.cols());
 }
 
 void fill_random(DenseMatrix& m, std::uint64_t seed, value_t lo, value_t hi) {

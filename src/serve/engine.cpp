@@ -163,7 +163,6 @@ GraphId Engine::register_graph(const Csr& a) {
   if (graphs_.contains(handle)) {
     ++stats_.register_dedup_hits;
   } else {
-    if (shards) shards->graph_key = fp.key();
     graphs_.emplace(handle, RegisteredGraph{std::make_shared<const Csr>(a),
                                             shards, nullptr, fp, fp.key()});
     ++stats_.graphs_registered;
@@ -485,7 +484,6 @@ UpdateReport Engine::apply_update(GraphId id, const EdgeBatch& batch) {
             "device; lower DeltaOptions::compact_nnz_fraction");
       }
     }
-    plan->graph_key = fp.key();
     new_shards = std::move(plan);
   } else {
     if (csr_bytes(*new_csr) > capacity && compact) {
@@ -514,11 +512,14 @@ UpdateReport Engine::apply_update(GraphId id, const EdgeBatch& batch) {
   // Rebind models compiled against the pre-update state: recompile over
   // the new effective CSR under the same registry key, so ModelId handles
   // stay stable. In-flight model tickets hold their own RegisteredModel
-  // (and with it the old CSR snapshot) and finish against it.
-  const std::shared_ptr<const Csr> effective = effective_graph(g);
+  // (and with it the old CSR snapshot) and finish against it. The
+  // effective CSR is an O(nnz) copy when an overlay is resident, so it is
+  // built only once a bound model needs it.
+  std::shared_ptr<const Csr> effective;
   for (auto& kv : models_) {
     std::shared_ptr<const RegisteredModel>& m = kv.second;
     if (m->plan.graph_key != old_key) continue;
+    if (effective == nullptr) effective = effective_graph(g);
     ModelPlan plan = compile_model(g.current_key, *effective, m->spec);
     m = std::make_shared<const RegisteredModel>(
         RegisteredModel{std::move(plan), m->spec, effective});

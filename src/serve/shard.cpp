@@ -76,7 +76,6 @@ ShardPlan plan_shards(const Csr& a, int num_shards) {
   }
 
   ShardPlan plan;
-  plan.graph_key = fingerprint(a).key();
   plan.shards.reserve(static_cast<std::size_t>(num_shards));
 
   // Greedy nnz-balanced walk. Shard k targets remaining_nnz / remaining

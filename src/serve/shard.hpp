@@ -60,8 +60,6 @@ struct GraphShard {
 
 /// A full row partition of one registered operand.
 struct ShardPlan {
-  /// GraphFingerprint::key() of the *unsharded* operand.
-  std::uint64_t graph_key = 0;
   /// Shards in row order; concatenating their row ranges covers
   /// [0, rows) exactly once.
   std::vector<GraphShard> shards;

@@ -1,14 +1,19 @@
 /// Aggregation layer: functional equivalence with the kernel host
-/// reference for every reduction, max-backward correctness, and the
-/// device-time orderings the end-to-end results rest on.
+/// reference for every reduction (directly and through the autograd
+/// engine), max-backward routing including ties, the feature-shape check,
+/// and the device-time orderings the end-to-end results rest on.
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "gnn/aggregation.hpp"
+#include "gnn/autograd.hpp"
 #include "gnn/train.hpp"
 #include "kernels/spmm_host.hpp"
 #include "sparse/datasets.hpp"
 #include "sparse/generators.hpp"
+#include "test_util.hpp"
 
 namespace gespmm::gnn {
 namespace {
@@ -33,10 +38,10 @@ TEST_P(AggregationEquivalence, MatchesKernelHostReference) {
   kernels::DenseMatrix ref(a.rows, 24);
   kernels::spmm_host_reference(a, b, ref, kind);
 
-  const auto res = aggregate_forward(a, dense_from(b), kind);
+  const Tensor res = aggregate_forward(a, dense_from(b), kind);
   for (index_t i = 0; i < a.rows; ++i) {
     for (index_t j = 0; j < 24; ++j) {
-      EXPECT_NEAR(res.out.at(i, j), ref.at(i, j), 1e-4)
+      EXPECT_NEAR(res.at(i, j), ref.at(i, j), 1e-4)
           << kernels::reduce_kind_name(kind) << " at (" << i << "," << j << ")";
     }
   }
@@ -83,11 +88,11 @@ TEST(AggregationBackward, MaxRoutesGradientToWinnerOnly) {
   Tensor x(3, 1);
   x.at(1, 0) = 3.0f;
   x.at(2, 0) = 10.0f;
-  const auto fwd = aggregate_forward(a, x, ReduceKind::Max);
-  EXPECT_FLOAT_EQ(fwd.out.at(0, 0), 10.0f);
+  const Tensor fwd = aggregate_forward(a, x, ReduceKind::Max);
+  EXPECT_FLOAT_EQ(fwd.at(0, 0), 10.0f);
   Tensor dy(1, 1);
   dy.at(0, 0) = 5.0f;
-  const Tensor dx = aggregate_backward_max(a, fwd.argmax, dy, 3);
+  const Tensor dx = aggregate_backward_select(a, x, fwd, dy);
   EXPECT_FLOAT_EQ(dx.at(1, 0), 0.0f);   // loser gets nothing
   EXPECT_FLOAT_EQ(dx.at(2, 0), 5.0f);   // winner gets val * dy = 1 * 5
   EXPECT_FLOAT_EQ(dx.at(0, 0), 0.0f);
@@ -96,13 +101,82 @@ TEST(AggregationBackward, MaxRoutesGradientToWinnerOnly) {
 TEST(AggregationBackward, EmptyRowsProduceNoGradient) {
   const sparse::Csr a(4, 4);  // all empty
   Tensor x(4, 2);
-  const auto fwd = aggregate_forward(a, x, ReduceKind::Max);
+  const Tensor fwd = aggregate_forward(a, x, ReduceKind::Max);
   for (index_t i = 0; i < 4; ++i) {
-    for (index_t j = 0; j < 2; ++j) EXPECT_FLOAT_EQ(fwd.out.at(i, j), 0.0f);
+    for (index_t j = 0; j < 2; ++j) EXPECT_FLOAT_EQ(fwd.at(i, j), 0.0f);
   }
   Tensor dy(4, 2, 1.0f);
-  const Tensor dx = aggregate_backward_max(a, fwd.argmax, dy, 4);
+  const Tensor dx = aggregate_backward_select(a, x, fwd, dy);
   for (auto g : dx.flat()) EXPECT_FLOAT_EQ(g, 0.0f);
+}
+
+TEST(AggregationForward, RejectsFeaturesThatDoNotMatchACols) {
+  // The host fold gathers x rows by A's column index without bounds
+  // checks, so a short x would be read past its end.
+  const sparse::Csr a = sparse::uniform_random(30, 40, 200, 782);
+  for (const ReduceKind kind : {ReduceKind::Sum, ReduceKind::Max}) {
+    EXPECT_THROW(aggregate_forward(a, Tensor(39, 4), kind), std::invalid_argument);
+    EXPECT_THROW(aggregate_forward(a, Tensor(41, 4), kind), std::invalid_argument);
+    EXPECT_THROW(aggregate_forward(a, Tensor(30, 4), kind), std::invalid_argument);
+    EXPECT_NO_THROW(aggregate_forward(a, Tensor(40, 4), kind));
+  }
+}
+
+/// Engine::aggregate's forward value under `kind` for features `b`. PyG's
+/// analytic cost model prices the op, so no simulation runs; the values do
+/// not depend on the backend.
+kernels::DenseMatrix engine_aggregate(const GnnGraph& g, const kernels::DenseMatrix& b,
+                                      ReduceKind kind) {
+  Engine eng(gpusim::gtx1080ti());
+  const VarPtr out =
+      eng.aggregate(g, eng.input(dense_from(b)), AggregatorBackend::PyGMessagePassing, kind);
+  kernels::DenseMatrix got(out->value.rows(), out->value.cols());
+  for (index_t i = 0; i < got.rows(); ++i) {
+    for (index_t j = 0; j < got.cols(); ++j) got.at(i, j) = out->value.at(i, j);
+  }
+  return got;
+}
+
+TEST(EngineAggregate, ForwardMatchesHostReferenceBitwise) {
+  // The zoo plus a larger power-law and a rectangular uniform matrix, at
+  // widths on both sides of the host kernel's 8-column tile and of its
+  // B-row prefetch (on above 16 columns).
+  std::vector<testutil::ZooCase> cases = testutil::zoo_cases();
+  cases.push_back({"rmat", sparse::rmat(10, 16.0, 0.57, 0.19, 0.19, 4)});
+  cases.push_back({"uniform_rect", sparse::uniform_random(300, 700, 6000, 5)});
+  for (const auto& [name, a] : cases) {
+    const GnnGraph g(a, gpusim::gtx1080ti());
+    for (const index_t n : {1, 7, 8, 9, 17, 64, 65}) {
+      kernels::DenseMatrix b(a.cols, n);
+      kernels::fill_random(b, 500 + static_cast<std::uint64_t>(n));
+      for (const ReduceKind kind :
+           {ReduceKind::Sum, ReduceKind::Max, ReduceKind::Min, ReduceKind::Mean}) {
+        EXPECT_TRUE(testutil::bitwise_equal(engine_aggregate(g, b, kind),
+                                            testutil::reference_spmm(a, b, kind)))
+            << name << " n=" << n << " " << kernels::reduce_kind_name(kind);
+      }
+    }
+  }
+}
+
+TEST(EngineAggregate, MaxTieSendsTheGradientToTheFirstNonzero) {
+  // Row 0 holds columns 0 (val 2) and 1 (val 1). With x = {3, 6} both
+  // products are 6: the whole gradient goes to column 0, the first
+  // nonzero in CSR order.
+  std::vector<sparse::index_t> r{0, 0}, c{0, 1};
+  std::vector<sparse::value_t> v{2.0f, 1.0f};
+  const GnnGraph g(sparse::csr_from_triplets(1, 2, r, c, v), gpusim::gtx1080ti());
+  Engine eng(gpusim::gtx1080ti());
+  Tensor x0(2, 1);
+  x0.at(0, 0) = 3.0f;
+  x0.at(1, 0) = 6.0f;
+  const VarPtr x = eng.param(x0);
+  const VarPtr out = eng.aggregate(g, x, AggregatorBackend::PyGMessagePassing, ReduceKind::Max);
+  EXPECT_EQ(out->value.at(0, 0), 6.0f);
+  out->grad.at(0, 0) = 5.0f;
+  eng.backward();
+  EXPECT_EQ(x->grad.at(0, 0), 10.0f);  // val * dy = 2 * 5
+  EXPECT_EQ(x->grad.at(1, 0), 0.0f);
 }
 
 TEST(AggregationTiming, MonotoneInWidth) {

@@ -75,6 +75,26 @@ TEST(Autograd, AggregateMaxGradCheck) {
   });
 }
 
+TEST(Autograd, AggregateMinGradCheck) {
+  const auto g = small_graph();
+  GnnGraph graph(g, gpusim::gtx1080ti());
+  grad_check(Tensor::glorot(12, 3, 4), [&](Engine& e, const VarPtr& x) {
+    VarPtr out = e.aggregate(graph, x, AggregatorBackend::GeSpMM, ReduceKind::Min);
+    const auto labels = labels12();
+    return e.softmax_cross_entropy(out, labels).loss;
+  });
+}
+
+TEST(Autograd, AggregateMeanGradCheck) {
+  const auto g = small_graph();
+  GnnGraph graph(g, gpusim::gtx1080ti());
+  grad_check(Tensor::glorot(12, 3, 4), [&](Engine& e, const VarPtr& x) {
+    VarPtr out = e.aggregate(graph, x, AggregatorBackend::GeSpMM, ReduceKind::Mean);
+    const auto labels = labels12();
+    return e.softmax_cross_entropy(out, labels).loss;
+  });
+}
+
 TEST(Autograd, ConcatGradCheck) {
   const Tensor x0 = Tensor::glorot(12, 2, 5);
   grad_check(Tensor::glorot(12, 1, 6), [&](Engine& e, const VarPtr& p) {

@@ -56,7 +56,6 @@ TEST(ShardPlanner, BalancedContiguousCoverOnUniformGraph) {
   const Csr a = sparse::uniform_random(1000, 1000, 10000, 77);
   const ShardPlan plan = serve::plan_shards(a, 4);
   ASSERT_EQ(plan.num_shards(), 4);
-  EXPECT_EQ(plan.graph_key, serve::fingerprint(a).key());
 
   index_t row = 0, nnz_total = 0, max_nnz = 0, min_nnz = a.nnz();
   for (const auto& s : plan.shards) {

@@ -43,6 +43,23 @@ TEST(ShapeValidation, SpmmLikeValidatesShapesToo) {
   EXPECT_THROW(spmm_like(a, b, c, op), std::invalid_argument);
 }
 
+TEST(ShapeValidation, ColumnMajorOperandsThrow) {
+  // The host fold needs row-major B and C; spmm and spmm_like refuse a
+  // column-major operand of the right shape.
+  const Csr a = testutil::zoo_uniform();
+  CustomReduceOp op;
+  op.init = [] { return 0.0f; };
+  op.reduce = [](value_t acc, value_t x) { return acc + x; };
+  const DenseMatrix b(a.cols, 4);
+  const DenseMatrix b_col(a.cols, 4, testutil::Layout::ColMajor);
+  DenseMatrix c(a.rows, 4);
+  DenseMatrix c_col(a.rows, 4, testutil::Layout::ColMajor);
+  EXPECT_THROW(spmm(a, b_col, c), std::invalid_argument);
+  EXPECT_THROW(spmm(a, b, c_col, ReduceKind::Max), std::invalid_argument);
+  EXPECT_THROW(spmm_like(a, b_col, c, op), std::invalid_argument);
+  EXPECT_THROW(spmm_like(a, b, c_col, op), std::invalid_argument);
+}
+
 TEST(ShapeValidation, ProfileSpmmValidatesShapes) {
   const Csr a = testutil::zoo_uniform();
   DenseMatrix b(a.cols, 4);

@@ -3,10 +3,10 @@
 /// output columns per walk of a sparse row, so these sweeps pin each output
 /// element's fold order: every reduction, widths on both sides of the
 /// column tile and of the B-row prefetch, row chunks with empty and long
-/// rows at their edges, every layout pairing of B and C, and operands
-/// holding NaN, infinities and signed zeros. Also pins the kernel's shape
-/// checks, computing into a row range of a larger C, and the comparison
-/// helpers the serving suites' bitwise assertions rest on.
+/// rows at their edges, and operands holding NaN, infinities and signed
+/// zeros. Also pins the kernel's shape and layout checks, computing into a
+/// row range of a larger C, and the comparison helpers the serving suites'
+/// bitwise assertions rest on.
 
 #include <gtest/gtest.h>
 
@@ -30,15 +30,12 @@ using testutil::value_t;
 
 constexpr ReduceKind kKinds[] = {ReduceKind::Sum, ReduceKind::Max, ReduceKind::Min,
                                  ReduceKind::Mean};
-constexpr Layout kLayouts[] = {Layout::RowMajor, Layout::ColMajor};
-
-const char* layout_name(Layout l) { return l == Layout::RowMajor ? "row-major" : "col-major"; }
 
 /// spmm_host_parallel into a NaN-filled C, so an element the kernel never
 /// writes cannot pass, compared with the reference.
 ::testing::AssertionResult parallel_matches_reference(const Csr& a, const DenseMatrix& b,
-                                                      Layout c_layout, ReduceKind kind) {
-  DenseMatrix got(a.rows, b.cols(), c_layout);
+                                                      ReduceKind kind) {
+  DenseMatrix got(a.rows, b.cols());
   got.fill(std::numeric_limits<value_t>::quiet_NaN());
   kernels::spmm_host_parallel(a, b, got, kind);
   return bitwise_equal(got, testutil::reference_spmm(a, b, kind));
@@ -77,16 +74,11 @@ TEST(SpmmHost, ParallelMatchesReferenceBitwise) {
   const index_t widths[] = {1, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65, 257};
   for (const auto& [name, a] : cases) {
     for (const index_t n : widths) {
-      for (const Layout bl : kLayouts) {
-        DenseMatrix b(a.cols, n, bl);
-        kernels::fill_random(b, 100 + static_cast<std::uint64_t>(n));
-        for (const Layout cl : kLayouts) {
-          for (const ReduceKind kind : kKinds) {
-            EXPECT_TRUE(parallel_matches_reference(a, b, cl, kind))
-                << name << " n=" << n << " " << kernels::reduce_kind_name(kind) << ", B "
-                << layout_name(bl) << ", C " << layout_name(cl);
-          }
-        }
+      DenseMatrix b(a.cols, n);
+      kernels::fill_random(b, 100 + static_cast<std::uint64_t>(n));
+      for (const ReduceKind kind : kKinds) {
+        EXPECT_TRUE(parallel_matches_reference(a, b, kind))
+            << name << " n=" << n << " " << kernels::reduce_kind_name(kind);
       }
     }
   }
@@ -111,7 +103,7 @@ TEST(SpmmHost, SpecialValuesFoldInReferenceOrder) {
       for (std::size_t k = 0; k < host.size(); k += 7) {
         host[k] = specials[(k / 7) % (selects ? 5 : 4)];
       }
-      EXPECT_TRUE(parallel_matches_reference(a, b, Layout::RowMajor, kind))
+      EXPECT_TRUE(parallel_matches_reference(a, b, kind))
           << "n=" << n << " " << kernels::reduce_kind_name(kind);
     }
   }
@@ -126,25 +118,23 @@ TEST(SpmmHost, RowBeginComputesIntoItsRowsOnly) {
     DenseMatrix b(a.cols, n);
     kernels::fill_random(b, 400 + static_cast<std::uint64_t>(n));
     const DenseMatrix want = testutil::reference_spmm(a, b, ReduceKind::Max);
-    for (const Layout cl : kLayouts) {
-      DenseMatrix got(a.rows + 12, n, cl);
-      got.fill(std::numeric_limits<value_t>::quiet_NaN());
-      kernels::spmm_host_parallel(a, b, got, ReduceKind::Max, row_begin);
-      DenseMatrix inside(a.rows, n);
-      bool outside_untouched = true;
-      for (index_t i = 0; i < got.rows(); ++i) {
-        const bool in = i >= row_begin && i < row_begin + a.rows;
-        for (index_t j = 0; j < n; ++j) {
-          if (in) {
-            inside.at(i - row_begin, j) = got.at(i, j);
-          } else {
-            outside_untouched = outside_untouched && std::isnan(got.at(i, j));
-          }
+    DenseMatrix got(a.rows + 12, n);
+    got.fill(std::numeric_limits<value_t>::quiet_NaN());
+    kernels::spmm_host_parallel(a, b, got, ReduceKind::Max, row_begin);
+    DenseMatrix inside(a.rows, n);
+    bool outside_untouched = true;
+    for (index_t i = 0; i < got.rows(); ++i) {
+      const bool in = i >= row_begin && i < row_begin + a.rows;
+      for (index_t j = 0; j < n; ++j) {
+        if (in) {
+          inside.at(i - row_begin, j) = got.at(i, j);
+        } else {
+          outside_untouched = outside_untouched && std::isnan(got.at(i, j));
         }
       }
-      EXPECT_TRUE(bitwise_equal(inside, want)) << "n=" << n << ", C " << layout_name(cl);
-      EXPECT_TRUE(outside_untouched) << "n=" << n << ", C " << layout_name(cl);
     }
+    EXPECT_TRUE(bitwise_equal(inside, want)) << "n=" << n;
+    EXPECT_TRUE(outside_untouched) << "n=" << n;
   }
 }
 
@@ -175,6 +165,36 @@ TEST(SpmmHost, RejectsMisshapedOperands) {
   // The last row range that fits.
   DenseMatrix c_tall(a.rows + 3, 8);
   EXPECT_NO_THROW(kernels::spmm_host_parallel(a, b, c_tall, ReduceKind::Sum, 3));
+
+  // The user-defined overload runs the same checks.
+  kernels::CustomReduceOp op;
+  op.init = [] { return 0.0f; };
+  op.reduce = [](value_t acc, value_t x) { return acc + x; };
+  EXPECT_THROW(kernels::spmm_host_parallel(a, b_short, c, op), std::invalid_argument);
+  EXPECT_THROW(kernels::spmm_host_parallel(a, b, c_narrow, op), std::invalid_argument);
+  EXPECT_THROW(kernels::spmm_host_parallel(a, b, c_short, op), std::invalid_argument);
+}
+
+TEST(SpmmHost, RejectsColumnMajorOperands) {
+  // The fold addresses B and C as row-major storage; a column-major
+  // operand of the right shape would compute garbage, so both overloads
+  // refuse it.
+  const Csr a = testutil::zoo_uniform();
+  const DenseMatrix b(a.cols, 8);
+  const DenseMatrix b_col(a.cols, 8, Layout::ColMajor);
+  DenseMatrix c(a.rows, 8);
+  DenseMatrix c_col(a.rows, 8, Layout::ColMajor);
+  kernels::CustomReduceOp op;
+  op.init = [] { return 0.0f; };
+  op.reduce = [](value_t acc, value_t x) { return acc + x; };
+  for (const ReduceKind kind : kKinds) {
+    EXPECT_THROW(kernels::spmm_host_parallel(a, b_col, c, kind), std::invalid_argument);
+    EXPECT_THROW(kernels::spmm_host_parallel(a, b, c_col, kind), std::invalid_argument);
+    EXPECT_THROW(kernels::spmm_host_parallel(a, b_col, c_col, kind), std::invalid_argument);
+  }
+  EXPECT_THROW(kernels::spmm_host_parallel(a, b_col, c, op), std::invalid_argument);
+  EXPECT_THROW(kernels::spmm_host_parallel(a, b, c_col, op), std::invalid_argument);
+  EXPECT_NO_THROW(kernels::spmm_host_parallel(a, b, c, op));
 }
 
 TEST(BitwiseEqual, CatchesWhatMaxAbsDiffMisses) {
