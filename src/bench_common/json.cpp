@@ -1,14 +1,10 @@
 #include "bench_common/json.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 
 namespace gespmm::bench {
-
-JsonParseError::JsonParseError(const std::string& what, std::size_t off)
-    : std::runtime_error(what + " (at byte " + std::to_string(off) + ")"), offset(off) {}
 
 Json Json::null() { return Json(); }
 
@@ -197,183 +193,5 @@ std::string Json::dump(int indent) const {
   dump_to(out, indent, 0);
   return out;
 }
-
-namespace {
-
-class Parser {
- public:
-  explicit Parser(const std::string& text) : s_(text) {}
-
-  Json parse_document() {
-    Json v = parse_value();
-    skip_ws();
-    if (pos_ != s_.size()) fail("trailing characters after JSON document");
-    return v;
-  }
-
- private:
-  const std::string& s_;
-  std::size_t pos_ = 0;
-
-  [[noreturn]] void fail(const std::string& what) { throw JsonParseError(what, pos_); }
-
-  void skip_ws() {
-    while (pos_ < s_.size() && (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\n' ||
-                                s_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    if (pos_ >= s_.size()) fail("unexpected end of input");
-    return s_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  bool literal(const char* word) {
-    std::size_t n = std::char_traits<char>::length(word);
-    if (s_.compare(pos_, n, word) == 0) {
-      pos_ += n;
-      return true;
-    }
-    return false;
-  }
-
-  Json parse_value() {
-    skip_ws();
-    switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': return Json::string(parse_string());
-      case 't':
-        if (literal("true")) return Json::boolean(true);
-        fail("bad literal");
-      case 'f':
-        if (literal("false")) return Json::boolean(false);
-        fail("bad literal");
-      case 'n':
-        if (literal("null")) return Json::null();
-        fail("bad literal");
-      default: return parse_number();
-    }
-  }
-
-  Json parse_object() {
-    expect('{');
-    Json obj = Json::object();
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return obj;
-    }
-    while (true) {
-      skip_ws();
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      obj.set(key, parse_value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return obj;
-    }
-  }
-
-  Json parse_array() {
-    expect('[');
-    Json arr = Json::array();
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return arr;
-    }
-    while (true) {
-      arr.push_back(parse_value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return arr;
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= s_.size()) fail("unterminated string");
-      char c = s_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= s_.size()) fail("unterminated escape");
-      char e = s_[pos_++];
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > s_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = s_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else fail("bad hex digit in \\u escape");
-          }
-          // ASCII-only emission; our writer never produces higher escapes.
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else {
-            fail("non-ASCII \\u escape unsupported by this minimal reader");
-          }
-          break;
-        }
-        default: fail("bad escape character");
-      }
-    }
-  }
-
-  Json parse_number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E' || s_[pos_] == '+' || s_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected a JSON value");
-    char* end = nullptr;
-    const std::string tok = s_.substr(start, pos_ - start);
-    const double v = std::strtod(tok.c_str(), &end);
-    if (end != tok.c_str() + tok.size()) {
-      pos_ = start;
-      fail("malformed number");
-    }
-    return Json::number(v);
-  }
-};
-
-}  // namespace
-
-Json Json::parse(const std::string& text) { return Parser(text).parse_document(); }
 
 }  // namespace gespmm::bench

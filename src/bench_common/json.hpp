@@ -1,28 +1,22 @@
 #pragma once
 /// \file json.hpp
-/// Minimal hand-rolled JSON value + parser + writer for the benchmark
-/// reporting subsystem. Deliberately tiny: objects, arrays, strings,
-/// numbers, booleans and null — exactly what `BenchReport` needs, with
-/// round-trip-exact doubles (%.17g) so recorded baselines re-read to the
-/// same bits. Not a general-purpose JSON library (no \uXXXX emission
-/// beyond pass-through escapes, no streaming).
+/// Minimal hand-rolled JSON value + writer for the benchmark reporting
+/// subsystem. Deliberately tiny: objects, arrays, strings, numbers,
+/// booleans and null — exactly what `BenchReport` needs, with
+/// round-trip-exact doubles (%.17g) so a reader (scripts/bench_compare.py)
+/// gets the recorded bits back. There is no parser: Python reads every
+/// report. Not a general-purpose JSON library (no \uXXXX emission beyond
+/// control characters, no streaming).
 
 #include <cstddef>
 #include <map>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace gespmm::bench {
 
-/// Thrown by Json::parse on malformed input; carries a byte offset.
-struct JsonParseError : std::runtime_error {
-  JsonParseError(const std::string& what, std::size_t offset);
-  std::size_t offset = 0;
-};
-
-/// A parsed JSON document node. Object keys keep insertion order on write
+/// A JSON document node. Object keys keep insertion order on write
 /// via a parallel key list so dumped baselines diff cleanly.
 class Json {
  public:
@@ -62,9 +56,6 @@ class Json {
 
   /// Serialize. `indent` > 0 pretty-prints with that many spaces.
   std::string dump(int indent = 0) const;
-
-  /// Parse a complete document; trailing non-space input is an error.
-  static Json parse(const std::string& text);
 
  private:
   Kind kind_ = Kind::Null;

@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <sstream>
-#include <stdexcept>
 
 #include "bench_common/bench_common.hpp"
 
@@ -24,19 +22,6 @@ Json BenchRecord::to_json() const {
   return j;
 }
 
-BenchRecord BenchRecord::from_json(const Json& j) {
-  BenchRecord r;
-  r.bench = j.get("bench").as_string();
-  r.device = j.get("device").as_string();
-  r.matrix = j.get("matrix").as_string();
-  r.algo = j.get("algo").as_string();
-  r.n = static_cast<int>(j.get("n").as_number());
-  r.time_ms = j.get("time_ms").as_number();
-  if (const Json* s = j.find("speedup")) r.speedup = s->as_number();
-  if (const Json* w = j.find("wallclock")) r.wallclock = w->as_bool();
-  return r;
-}
-
 Json BenchRollup::to_json() const {
   Json j = Json::object();
   j.set("bench", Json::string(bench));
@@ -46,17 +31,6 @@ Json BenchRollup::to_json() const {
   if (geomean_speedup > 0.0) j.set("geomean_speedup", Json::number(geomean_speedup));
   if (wallclock) j.set("wallclock", Json::boolean(true));
   return j;
-}
-
-BenchRollup BenchRollup::from_json(const Json& j) {
-  BenchRollup r;
-  r.bench = j.get("bench").as_string();
-  r.device = j.get("device").as_string();
-  r.count = static_cast<int>(j.get("count").as_number());
-  r.geomean_time_ms = j.get("geomean_time_ms").as_number();
-  if (const Json* s = j.find("geomean_speedup")) r.geomean_speedup = s->as_number();
-  if (const Json* w = j.find("wallclock")) r.wallclock = w->as_bool();
-  return r;
 }
 
 std::vector<BenchRollup> BenchReport::rollups() const {
@@ -105,40 +79,11 @@ Json BenchReport::to_json() const {
   return j;
 }
 
-BenchReport BenchReport::from_json(const Json& j) {
-  BenchReport rep;
-  rep.schema_version = static_cast<int>(j.get("schema_version").as_number());
-  if (rep.schema_version != kSchemaVersion) {
-    throw std::runtime_error("bench report schema_version " +
-                             std::to_string(rep.schema_version) + " != supported " +
-                             std::to_string(kSchemaVersion));
-  }
-  const Json& opts = j.get("options");
-  rep.snap_scale = opts.get("snap_scale").as_number();
-  rep.max_graphs = static_cast<int>(opts.get("max_graphs").as_number());
-  rep.sample_blocks = static_cast<std::uint64_t>(opts.get("sample_blocks").as_number());
-  rep.quick = opts.get("quick").as_bool();
-  for (const Json& r : j.get("records").items()) {
-    rep.records.push_back(BenchRecord::from_json(r));
-  }
-  // Rollups are recomputed from records on demand; the stored section is
-  // for human/script consumption and is not read back.
-  return rep;
-}
-
 bool BenchReport::write_file(const std::string& path) const {
   std::ofstream out(path);
   if (!out) return false;
   out << to_json().dump(2) << "\n";
   return static_cast<bool>(out);
-}
-
-BenchReport BenchReport::read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open bench report: " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return from_json(Json::parse(ss.str()));
 }
 
 }  // namespace gespmm::bench

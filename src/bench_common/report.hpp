@@ -30,7 +30,6 @@ struct BenchRecord {
   bool wallclock = false;
 
   Json to_json() const;
-  static BenchRecord from_json(const Json& j);
   bool operator==(const BenchRecord&) const = default;
 };
 
@@ -46,7 +45,6 @@ struct BenchRollup {
   bool wallclock = false;
 
   Json to_json() const;
-  static BenchRollup from_json(const Json& j);
 };
 
 /// A full run: the options it ran under, every record, and the rollups.
@@ -64,12 +62,10 @@ struct BenchReport {
   std::vector<BenchRollup> rollups() const;
 
   Json to_json() const;
-  static BenchReport from_json(const Json& j);
 
-  /// File I/O; write returns false (and reports nothing) only on I/O
-  /// failure, read throws on I/O or parse/schema errors.
+  /// Write `to_json().dump(2)` and a newline; returns false (and reports
+  /// nothing) only on I/O failure.
   bool write_file(const std::string& path) const;
-  static BenchReport read_file(const std::string& path);
 };
 
 }  // namespace gespmm::bench

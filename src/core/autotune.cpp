@@ -52,10 +52,11 @@ AutotuneResult autotune_spmm(const Csr& a, index_t n, const AutotuneOptions& opt
 
   // Price one candidate, memoized: the sweep and the predict/retune paths
   // share simulations through times_ms so no candidate is ever run twice.
+  // Pricing reads only the launch result, so B and C are address-only.
   auto simulate = [&](SpmmAlgo algo) {
     if (auto it = res.times_ms.find(algo); it != res.times_ms.end())
       return it->second;
-    kernels::SpmmProblem p(a, n);
+    kernels::SpmmProblem p(a, n, kernels::Layout::RowMajor, gpusim::address_only);
     double ms = 0.0;
     if (algo == SpmmAlgo::HybridMma) {
       hybrid_detail = kernels::run_spmm_hybrid_detailed(p, ro);

@@ -66,8 +66,8 @@ SpmmProfile profile_spmm(const Csr& a, const DenseMatrix& b, DenseMatrix& c,
 
 SpmmProfile profile_spmm_shape(const Csr& a, index_t n, const ProfileOptions& opt) {
   kernels::SpmmProblem p(a, n,
-                         opt.algo == SpmmAlgo::Csrmm2 ? Layout::ColMajor
-                                                      : Layout::RowMajor);
+                         opt.algo == SpmmAlgo::Csrmm2 ? Layout::ColMajor : Layout::RowMajor,
+                         gpusim::address_only);
   SpmmProfile prof;
   prof.algo = opt.algo == SpmmAlgo::GeSpMM ? kernels::select_gespmm_algo(n) : opt.algo;
   kernels::SpmmRunOptions ro;

@@ -73,8 +73,10 @@ struct SpmmProfile {
 SpmmProfile profile_spmm(const Csr& a, const DenseMatrix& b, DenseMatrix& c,
                          const ProfileOptions& opt = ProfileOptions());
 
-/// Metrics-only convenience: allocates B (zero-filled) and C internally and
-/// optionally samples blocks — what parameter sweeps use.
+/// Metrics-only convenience: prices the kernel on address-only B and C (no
+/// dense values are allocated; metrics and modelled time equal a run on
+/// real operands bit for bit) and optionally samples blocks — what
+/// parameter sweeps use.
 SpmmProfile profile_spmm_shape(const Csr& a, index_t n,
                                const ProfileOptions& opt = ProfileOptions());
 

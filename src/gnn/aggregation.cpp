@@ -70,13 +70,13 @@ double GnnGraph::aggregation_time_ms(AggregatorBackend backend, ReduceKind reduc
     case AggregatorBackend::DglCusparse: {
       // csrmm2 computes the standard SpMM only; DGL then fixes the
       // column-major output with a cuBLAS transpose (paper Section II-C).
-      kernels::SpmmProblem p(a, n, kernels::Layout::ColMajor);
+      kernels::SpmmProblem p(a, n, kernels::Layout::ColMajor, gpusim::address_only);
       ms = kernels::run_spmm(kernels::SpmmAlgo::Csrmm2, p, opt).time_ms() +
            cost_.csrmm2_call_overhead_ms() + cost_.transpose_ms(a.rows, n);
       break;
     }
     case AggregatorBackend::DglFallback: {
-      kernels::SpmmProblem p(a, n);
+      kernels::SpmmProblem p(a, n, kernels::Layout::RowMajor, gpusim::address_only);
       opt.reduce = reduce;
       // DGL's generic path zero-initializes the output and stages the
       // edge-functor dispatch in separate launches around the reduce
@@ -90,7 +90,7 @@ double GnnGraph::aggregation_time_ms(AggregatorBackend backend, ReduceKind reduc
       break;
     }
     case AggregatorBackend::GeSpMM: {
-      kernels::SpmmProblem p(a, n);
+      kernels::SpmmProblem p(a, n, kernels::Layout::RowMajor, gpusim::address_only);
       opt.reduce = reduce;
       ms = kernels::run_spmm(kernels::SpmmAlgo::GeSpMM, p, opt).time_ms();
       break;

@@ -7,7 +7,11 @@
 /// warp-synchronously: per-lane values live in `Lanes<T>` vectors, activity
 /// masks express divergence, and all global memory traffic flows through
 /// WarpCtx::ld_*/st_* so that values move for real *and* every instruction
-/// is coalesced, cache-filtered and counted.
+/// is coalesced, cache-filtered and counted. Values move for every operand
+/// except an address-only one (device_array.hpp): there the instruction is
+/// coalesced, cached and counted exactly the same, loads return zero lanes
+/// and stores are discarded. Kernels never branch on dense B/C values, so
+/// a launch's metrics and modelled time do not depend on them.
 
 #include <cassert>
 #include <cstddef>
@@ -101,6 +105,7 @@ class WarpCtx {
         a.base_addr() + static_cast<std::uint64_t>(base_idx) * sizeof(T), sizeof(T), mask);
     commit_load(r);
     Lanes<T> out{};
+    if (a.address_only()) return out;
     for (int l = 0; l < kWarpSize; ++l) {
       if (lane_active(mask, l)) {
         assert(base_idx + l >= 0 && static_cast<std::size_t>(base_idx + l) < a.size());
@@ -119,13 +124,14 @@ class WarpCtx {
     const auto r = coalesce_broadcast(
         a.base_addr() + static_cast<std::uint64_t>(idx) * sizeof(T), sizeof(T), mask);
     commit_load(r);
-    return a[static_cast<std::size_t>(idx)];
+    return a.address_only() ? T{} : a[static_cast<std::size_t>(idx)];
   }
 
   /// Arbitrary per-lane indices.
   template <typename T>
   Lanes<T> ld_gather(const DeviceArray<T>& a, const Lanes<std::int64_t>& idx, LaneMask mask) {
     note_load_inst();
+    const bool values = !a.address_only();
     Lanes<std::uint64_t> addrs{};
     Lanes<T> out{};
     for (int l = 0; l < kWarpSize; ++l) {
@@ -134,7 +140,7 @@ class WarpCtx {
       assert(i >= 0 && static_cast<std::size_t>(i) < a.size());
       addrs[static_cast<std::size_t>(l)] =
           a.base_addr() + static_cast<std::uint64_t>(i) * sizeof(T);
-      out[static_cast<std::size_t>(l)] = a[static_cast<std::size_t>(i)];
+      if (values) out[static_cast<std::size_t>(l)] = a[static_cast<std::size_t>(i)];
     }
     const auto r = coalesce_gather(addrs, sizeof(T), mask);
     commit_load(r);
@@ -149,6 +155,7 @@ class WarpCtx {
     const auto r = coalesce_contiguous(
         a.base_addr() + static_cast<std::uint64_t>(base_idx) * sizeof(T), sizeof(T), mask);
     commit_store(r);
+    if (a.address_only()) return;
     for (int l = 0; l < kWarpSize; ++l) {
       if (lane_active(mask, l)) {
         assert(base_idx + l >= 0 && static_cast<std::size_t>(base_idx + l) < a.size());
@@ -161,6 +168,7 @@ class WarpCtx {
   void st_gather(DeviceArray<T>& a, const Lanes<std::int64_t>& idx, const Lanes<T>& v,
                  LaneMask mask) {
     note_store_inst();
+    const bool values = !a.address_only();
     Lanes<std::uint64_t> addrs{};
     for (int l = 0; l < kWarpSize; ++l) {
       if (!lane_active(mask, l)) continue;
@@ -168,7 +176,7 @@ class WarpCtx {
       assert(i >= 0 && static_cast<std::size_t>(i) < a.size());
       addrs[static_cast<std::size_t>(l)] =
           a.base_addr() + static_cast<std::uint64_t>(i) * sizeof(T);
-      a[static_cast<std::size_t>(i)] = v[static_cast<std::size_t>(l)];
+      if (values) a[static_cast<std::size_t>(i)] = v[static_cast<std::size_t>(l)];
     }
     const auto r = coalesce_gather(addrs, sizeof(T), mask);
     commit_store(r);
@@ -176,7 +184,9 @@ class WarpCtx {
 
   /// Commit a pre-computed coalescing result through the store path. Used
   /// by kernels that stage stores through shared memory (the burst pattern
-  /// is known) while moving the real values separately.
+  /// is known) while moving the real values separately: csrmm2's transposed
+  /// store, the one host write outside WarpCtx, which must itself skip an
+  /// address-only output.
   void st_accounting(const CoalesceResult& r) {
     note_store_inst();
     commit_store(r);
@@ -189,6 +199,7 @@ class WarpCtx {
                          const Lanes<float>& v, LaneMask mask) {
     note_load_inst();
     note_store_inst();
+    const bool values = !a.address_only();
     Lanes<std::uint64_t> addrs{};
     for (int l = 0; l < kWarpSize; ++l) {
       if (!lane_active(mask, l)) continue;
@@ -196,7 +207,7 @@ class WarpCtx {
       assert(i >= 0 && static_cast<std::size_t>(i) < a.size());
       addrs[static_cast<std::size_t>(l)] =
           a.base_addr() + static_cast<std::uint64_t>(i) * sizeof(float);
-      a[static_cast<std::size_t>(i)] += v[static_cast<std::size_t>(l)];
+      if (values) a[static_cast<std::size_t>(i)] += v[static_cast<std::size_t>(l)];
     }
     const auto r = coalesce_gather(addrs, sizeof(float), mask);
     commit_load(r);

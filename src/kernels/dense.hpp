@@ -19,13 +19,19 @@ using sparse::value_t;
 
 enum class Layout { RowMajor, ColMajor };
 
-/// Dense rows x cols matrix on the simulated device.
+/// Dense rows x cols matrix on the simulated device, zero-filled unless
+/// built with a tag: `gpusim::address_only` (a device range with no host
+/// elements, for pricing runs) or `gpusim::uninitialized` (no fill, for an
+/// output the caller writes in full; see device_array.hpp).
 class DenseMatrix {
  public:
   DenseMatrix() = default;
   DenseMatrix(index_t rows, index_t cols, Layout layout = Layout::RowMajor)
-      : rows_(rows), cols_(cols), layout_(layout),
-        data_(static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols), 0.0f) {}
+      : rows_(rows), cols_(cols), layout_(layout), data_(elements(rows, cols), 0.0f) {}
+  DenseMatrix(index_t rows, index_t cols, Layout layout, gpusim::AddressOnly tag)
+      : rows_(rows), cols_(cols), layout_(layout), data_(elements(rows, cols), tag) {}
+  DenseMatrix(index_t rows, index_t cols, Layout layout, gpusim::Uninitialized tag)
+      : rows_(rows), cols_(cols), layout_(layout), data_(elements(rows, cols), tag) {}
 
   index_t rows() const { return rows_; }
   index_t cols() const { return cols_; }
@@ -66,6 +72,10 @@ class DenseMatrix {
   }
 
  private:
+  static std::size_t elements(index_t rows, index_t cols) {
+    return static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
+  }
+
   index_t rows_ = 0;
   index_t cols_ = 0;
   Layout layout_ = Layout::RowMajor;

@@ -103,14 +103,18 @@ class SpmmCsrmm2Kernel final : public gpusim::Kernel {
       for (int l = 0; l < kWarpSize; ++l) {
         idx[static_cast<std::size_t>(l)] = (j0 + l) * m + i;
       }
-      // Account as a contiguous burst (staged), then move the real values.
+      // Account as a contiguous burst (staged), then move the real values
+      // (none for an address-only C: this is the one host write outside
+      // WarpCtx, so it applies the guard WarpCtx's stores apply).
       const auto burst = coalesce_contiguous(
           p_->C.device().base_addr() + static_cast<std::uint64_t>(j0) * sizeof(value_t),
           sizeof(value_t), mask);
-      for (int l = 0; l < kWarpSize; ++l) {
-        if (lane_active(mask, l)) {
-          p_->C.device()[static_cast<std::size_t>(idx[static_cast<std::size_t>(l)])] =
-              acc[static_cast<std::size_t>(l)];
+      if (!p_->C.device().address_only()) {
+        for (int l = 0; l < kWarpSize; ++l) {
+          if (lane_active(mask, l)) {
+            p_->C.device()[static_cast<std::size_t>(idx[static_cast<std::size_t>(l)])] =
+                acc[static_cast<std::size_t>(l)];
+          }
         }
       }
       warp.st_accounting(burst);

@@ -4,6 +4,12 @@
 /// simulated device buffers plus the dense input/output matrices. Kernels
 /// hold references to a problem; uploading once lets benches launch many
 /// kernels against the same operands.
+///
+/// A problem built with `gpusim::address_only` is a pricing problem: A is
+/// uploaded for real (kernels walk its structure), B and C are address-only
+/// (device_array.hpp). It reserves the same device ranges in the same
+/// order (rowptr, colind, val, B, C), so every run_spmm algorithm reports
+/// bit-identical metrics and modelled time on it, and C holds no values.
 
 #include "gpusim/device_array.hpp"
 #include "kernels/dense.hpp"
@@ -39,6 +45,10 @@ struct SpmmProblem {
   /// Upload A, allocate B (caller fills) and C for the given N.
   SpmmProblem(const sparse::Csr& a, index_t n, Layout c_layout = Layout::RowMajor)
       : A(a), B(a.cols, n), C(a.rows, n, c_layout) {}
+  /// Upload A and reserve address-only B and C: for runs that read only
+  /// the launch result.
+  SpmmProblem(const sparse::Csr& a, index_t n, Layout c_layout, gpusim::AddressOnly tag)
+      : A(a), B(a.cols, n, Layout::RowMajor, tag), C(a.rows, n, c_layout, tag) {}
 
   index_t m() const { return A.rows; }
   index_t k() const { return A.cols; }

@@ -604,6 +604,12 @@ const value_t* row_ptr(const DenseMatrix& m, index_t i) {
   return m.device().data() + m.offset(i, 0);
 }
 
+/// A row-major rows x cols buffer without the zero fill, for outputs the
+/// engine writes in full before anything reads them.
+DenseMatrix uninitialized_matrix(index_t rows, index_t cols) {
+  return DenseMatrix(rows, cols, kernels::Layout::RowMajor, gpusim::uninitialized);
+}
+
 /// Copy `width` columns of every row of `src`, starting at column
 /// `src_col`, into `dst` at column `dst_col`: one memcpy per row.
 void copy_columns(const DenseMatrix& src, index_t src_col, DenseMatrix& dst,
@@ -622,7 +628,7 @@ const DenseMatrix* coalesce_features(
     const std::vector<std::shared_ptr<detail::RequestState>>& batch,
     index_t b_rows, index_t total_n, DenseMatrix* storage) {
   if (batch.size() == 1) return &batch.front()->b;
-  *storage = DenseMatrix(b_rows, total_n);
+  *storage = uninitialized_matrix(b_rows, total_n);
   index_t col0 = 0;
   for (const auto& r : batch) {
     copy_columns(r->b, 0, *storage, col0, r->b.cols());
@@ -637,7 +643,7 @@ const DenseMatrix* coalesce_features(
 DenseMatrix split_result(DenseMatrix& c_all, std::size_t batch_size, index_t col0,
                          index_t width) {
   if (batch_size == 1) return std::move(c_all);
-  DenseMatrix c(c_all.rows(), width);
+  DenseMatrix c = uninitialized_matrix(c_all.rows(), width);
   copy_columns(c_all, col0, c, 0, width);
   return c;
 }
@@ -682,7 +688,9 @@ void Engine::execute_spmm(Batch batch, std::size_t device_index) {
     }
   }
 
-  DenseMatrix c_all(a.rows, total_n);
+  // The launches cover rows [0, A.rows): the whole CSR, or the contiguous
+  // shard partition.
+  DenseMatrix c_all = uninitialized_matrix(a.rows, total_n);
   Charge charge;
   RequestResult shared;
   for (const Launch& l : launches) {
@@ -736,7 +744,7 @@ void Engine::execute_spmm(Batch batch, std::size_t device_index) {
   // the compaction fraction, so the base shape dominates.
   if (const DeltaOverlay* ov = head.overlay.get()) {
     const Csr& patch = ov->patch();
-    DenseMatrix c_patch(patch.rows, total_n);
+    DenseMatrix c_patch = uninitialized_matrix(patch.rows, total_n);
     kernels::spmm_host_parallel(patch, *b_all, c_patch, reduce);
     const std::vector<index_t>& prows = ov->rows();
     const std::size_t row_bytes = static_cast<std::size_t>(total_n) * sizeof(value_t);

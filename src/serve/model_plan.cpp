@@ -177,7 +177,7 @@ DenseMatrix ModelArena::take(index_t rows, index_t cols) {
       return m;
     }
   }
-  return DenseMatrix(rows, cols);
+  return DenseMatrix(rows, cols, kernels::Layout::RowMajor, gpusim::uninitialized);
 }
 
 void ModelArena::put(DenseMatrix m) {

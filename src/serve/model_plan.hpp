@@ -138,12 +138,13 @@ LayerCost price_layer(const LayerStep& s, index_t num_nodes, double spmm_ms,
 /// of allocating. Hidden layers share widths, so a deep model runs in a
 /// ping-pong pair of num_nodes x hidden buffers instead of one fresh
 /// allocation per stage; `ModelPlan::max_width` bounds every slot.
-/// Recycled buffers are returned as-is (every consumer overwrites all
-/// elements). Not thread-safe; one arena per in-flight forward pass.
+/// Buffers are returned as-is, recycled or fresh: every consumer overwrites
+/// all elements, so a fresh one skips the zero fill (gpusim::uninitialized).
+/// Not thread-safe; one arena per in-flight forward pass.
 class ModelArena {
  public:
-  /// A row-major rows x cols buffer — recycled when an exact-shape slot
-  /// is pooled, freshly allocated otherwise.
+  /// A row-major rows x cols buffer with unspecified contents — recycled
+  /// when an exact-shape slot is pooled, freshly allocated otherwise.
   DenseMatrix take(index_t rows, index_t cols);
   /// Return a buffer to the pool.
   void put(DenseMatrix m);

@@ -1,9 +1,18 @@
 /// Launch engine tests: metric collection, block sampling extrapolation,
-/// determinism, and cost-model sanity/monotonicity properties.
+/// determinism, cost-model sanity/monotonicity properties, and pricing on
+/// address-only operands.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "gpusim/gpusim.hpp"
+#include "kernels/registry.hpp"
+#include "kernels/spmm_hybrid.hpp"
+#include "kernels/spmm_problem.hpp"
+#include "sparse/generators.hpp"
 
 namespace gespmm::gpusim {
 namespace {
@@ -181,6 +190,148 @@ TEST(CostModel, AchievedOccupancyDeratesUnfilledGrid) {
   const auto occ = compute_occupancy(dev, cfg);
   const double achieved = achieved_occupancy(dev, cfg, occ);
   EXPECT_LT(achieved, occ.fraction);
+}
+
+/// Every LaunchMetrics counter and TimeBreakdown term as raw bits, so the
+/// comparison of two launches is bitwise (doubles by representation).
+std::vector<std::uint64_t> launch_bits(const LaunchResult& r) {
+  const LaunchMetrics& m = r.metrics;
+  const TimeBreakdown& t = r.time;
+  const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  return {
+      m.gld_transactions,
+      m.gld_useful_bytes,
+      m.gld_instructions,
+      m.gst_transactions,
+      m.gst_useful_bytes,
+      m.gst_instructions,
+      m.l1_hits,
+      m.l2_hits,
+      m.dram_transactions,
+      m.smem_load_bytes,
+      m.smem_store_bytes,
+      m.flops,
+      m.warp_instructions,
+      m.mma_flops,
+      m.mma_instructions,
+      m.max_block_gld_instructions,
+      m.num_blocks,
+      m.num_warps,
+      bits(m.sample_scale),
+      bits(t.dram_ms),
+      bits(t.l2_ms),
+      bits(t.l1_ms),
+      bits(t.smem_ms),
+      bits(t.issue_ms),
+      bits(t.mma_ms),
+      bits(t.tail_ms),
+      bits(t.launch_overhead_ms),
+      bits(t.total_ms),
+      bits(t.utilization),
+      bits(t.concurrency),
+  };
+}
+
+void expect_bitwise_equal(const LaunchResult& full, const LaunchResult& addr) {
+  EXPECT_EQ(launch_bits(full), launch_bits(addr));
+  EXPECT_STREQ(full.time.bottleneck, addr.time.bottleneck);
+}
+
+/// A pricing run on an address-only problem (B and C without host storage)
+/// reports exactly what the same run on real, randomly filled operands
+/// reports: no simulated kernel branches on dense values, and the problem
+/// reserves the same device ranges in the same order.
+TEST(AddressOnlyPricing, BitwiseEqualToFullPayload) {
+  using kernels::SpmmAlgo;
+  using sparse::Csr;
+  using sparse::index_t;
+  // Empty rows (fewer nonzeros than rows), a skewed rmat, and a pruned DNN
+  // whose dense rows send the hybrid kernel down its MMA partition.
+  const std::vector<Csr> matrices = {
+      sparse::uniform_random(160, 140, 120, 3),
+      sparse::rmat(7, 6.0, 0.57, 0.19, 0.19, 5),
+      sparse::pruned_dnn(96, 96, 16, 0.8, 7),
+  };
+  const SpmmAlgo semiring_algos[] = {
+      SpmmAlgo::Naive,   SpmmAlgo::Crc,        SpmmAlgo::CrcCwm2,  SpmmAlgo::CrcCwm4,
+      SpmmAlgo::CrcCwm8, SpmmAlgo::RowSplitGB, SpmmAlgo::SpmvLoop, SpmmAlgo::DglFallback};
+  const SpmmAlgo sum_only_algos[] = {SpmmAlgo::MergeSplitGB, SpmmAlgo::Csrmm2,
+                                     SpmmAlgo::Gunrock};
+  bool saw_empty_row = false;
+  bool saw_mma_rows = false;
+  for (const Csr& a : matrices) {
+    for (index_t i = 0; i < a.rows; ++i) {
+      saw_empty_row = saw_empty_row || a.rowptr[static_cast<std::size_t>(i)] ==
+                                           a.rowptr[static_cast<std::size_t>(i) + 1];
+    }
+    for (const index_t n : {1, 31, 32, 33, 64, 100}) {
+      for (const DeviceSpec& dev : {gtx1080ti(), rtx2080()}) {
+        for (const SamplePolicy sample : {SamplePolicy::full(), SamplePolicy::sampled(64)}) {
+          kernels::SpmmRunOptions opt;
+          opt.device = dev;
+          opt.sample = sample;
+          // Runs `run` on a full problem and on an address-only one, each
+          // from a reset address space.
+          const auto both = [&](kernels::Layout layout, auto&& run) {
+            reset_device_address_space();
+            kernels::SpmmProblem full(a, n, layout);
+            kernels::fill_random(full.B, 11);
+            const auto on_full = run(full);
+            reset_device_address_space();
+            kernels::SpmmProblem addr(a, n, layout, address_only);
+            const auto on_addr = run(addr);
+            EXPECT_TRUE(addr.B.device().address_only());
+            EXPECT_TRUE(addr.C.device().host().empty());
+            return std::make_pair(on_full, on_addr);
+          };
+          for (const kernels::ReduceKind reduce :
+               {kernels::ReduceKind::Sum, kernels::ReduceKind::Max}) {
+            opt.reduce = reduce;
+            for (const SpmmAlgo algo : semiring_algos) {
+              SCOPED_TRACE(testing::Message()
+                           << kernels::algo_name(algo) << " n=" << n << " " << dev.name
+                           << " reduce=" << kernels::reduce_kind_name(reduce)
+                           << " max_blocks=" << sample.max_blocks << " rows=" << a.rows);
+              const auto [full, addr] = both(kernels::Layout::RowMajor,
+                                             [&](kernels::SpmmProblem& p) {
+                                               return kernels::run_spmm(algo, p, opt);
+                                             });
+              expect_bitwise_equal(full, addr);
+            }
+            SCOPED_TRACE(testing::Message()
+                         << "hybrid n=" << n << " " << dev.name
+                         << " reduce=" << kernels::reduce_kind_name(reduce)
+                         << " max_blocks=" << sample.max_blocks << " rows=" << a.rows);
+            const auto [full, addr] =
+                both(kernels::Layout::RowMajor, [&](kernels::SpmmProblem& p) {
+                  return kernels::run_spmm_hybrid_detailed(p, opt);
+                });
+            expect_bitwise_equal(full.total, addr.total);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(full.dense_ms),
+                      std::bit_cast<std::uint64_t>(addr.dense_ms));
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(full.ragged_ms),
+                      std::bit_cast<std::uint64_t>(addr.ragged_ms));
+            EXPECT_EQ(full.dense_rows, addr.dense_rows);
+            saw_mma_rows = saw_mma_rows || full.dense_rows > 0;
+          }
+          opt.reduce = kernels::ReduceKind::Sum;
+          for (const SpmmAlgo algo : sum_only_algos) {
+            SCOPED_TRACE(testing::Message() << kernels::algo_name(algo) << " n=" << n << " "
+                                            << dev.name << " max_blocks=" << sample.max_blocks
+                                            << " rows=" << a.rows);
+            const auto layout = algo == SpmmAlgo::Csrmm2 ? kernels::Layout::ColMajor
+                                                         : kernels::Layout::RowMajor;
+            const auto [full, addr] = both(layout, [&](kernels::SpmmProblem& p) {
+              return kernels::run_spmm(algo, p, opt);
+            });
+            expect_bitwise_equal(full, addr);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(saw_empty_row);
+  EXPECT_TRUE(saw_mma_rows);
 }
 
 }  // namespace

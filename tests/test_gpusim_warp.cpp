@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <utility>
+
 #include "gpusim/gpusim.hpp"
+#include "kernels/dense.hpp"
 
 namespace gespmm::gpusim {
 namespace {
@@ -213,6 +217,103 @@ TEST_F(WarpFixture, ResizeGrowthRelocatesVirtually) {
   EXPECT_EQ(a.base_addr(), before);
   a.resize(4096);  // growth: must not overlap later allocations
   EXPECT_NE(a.base_addr(), before);
+}
+
+/// Every global load/store flavour on an address-only array counts exactly
+/// what it counts on a real array of the same size, loads return zeros and
+/// stores leave no host bytes behind.
+TEST_F(WarpFixture, AddressOnlyArrayCountsTheSameAndMovesNoValues) {
+  DeviceArray<float> addr(in.size(), address_only);
+  ASSERT_TRUE(addr.address_only());
+  ASSERT_EQ(addr.size(), in.size());
+  ASSERT_EQ(addr.base_addr() % 256, 0u);
+  Lanes<std::int64_t> indices{};
+  for (int l = 0; l < kWarpSize; ++l) indices[static_cast<std::size_t>(l)] = (l * 37) % 1024;
+  const auto ops = [&](DeviceArray<float>& a, bool zeros) {
+    return run_warp(rtx2080(), [&](BlockCtx& blk) {
+      WarpCtx w = blk.warp(0);
+      const auto c = w.ld_contig(a, 64, kFullMask);
+      const float b = w.ld_broadcast(a, 100, kFullMask);
+      const auto g = w.ld_gather(a, indices, kFullMask);
+      w.st_contig(a, 0, splat(3.5f), kFullMask);
+      w.st_gather(a, indices, splat(1.5f), first_lanes(5));
+      w.atomic_add_gather(a, indices, splat(1.0f), kFullMask);
+      if (zeros) {
+        EXPECT_EQ(b, 0.0f);
+        for (int l = 0; l < kWarpSize; ++l) {
+          EXPECT_EQ(c[static_cast<std::size_t>(l)], 0.0f);
+          EXPECT_EQ(g[static_cast<std::size_t>(l)], 0.0f);
+        }
+      }
+    });
+  };
+  const auto real = ops(in, /*zeros=*/false);
+  const auto none = ops(addr, /*zeros=*/true);
+  EXPECT_TRUE(addr.host().empty());
+  EXPECT_EQ(addr.size(), in.size());
+  EXPECT_EQ(none.metrics.gld_transactions, real.metrics.gld_transactions);
+  EXPECT_EQ(none.metrics.gld_useful_bytes, real.metrics.gld_useful_bytes);
+  EXPECT_EQ(none.metrics.gst_transactions, real.metrics.gst_transactions);
+  EXPECT_EQ(none.metrics.gst_useful_bytes, real.metrics.gst_useful_bytes);
+  EXPECT_EQ(none.metrics.l1_hits, real.metrics.l1_hits);
+  EXPECT_EQ(none.metrics.dram_transactions, real.metrics.dram_transactions);
+  EXPECT_EQ(none.metrics.warp_instructions, real.metrics.warp_instructions);
+  EXPECT_EQ(none.metrics.flops, real.metrics.flops);
+}
+
+/// Address-only is its own state: a moved-from array is empty and keeps
+/// its range, but it is not address-only (so it never reads as zeros).
+TEST_F(WarpFixture, MovedFromArrayIsNotAddressOnly) {
+  DeviceArray<float> a(64, 1.0f);
+  DeviceArray<float> b = std::move(a);
+  EXPECT_EQ(b.size(), 64u);
+  EXPECT_FALSE(b.address_only());
+  EXPECT_FALSE(a.address_only());  // NOLINT(bugprone-use-after-move)
+  DeviceArray<float> c(64, address_only);
+  DeviceArray<float> d = c;  // a copy is address-only with a fresh range
+  EXPECT_TRUE(d.address_only());
+  EXPECT_EQ(d.size(), 64u);
+  EXPECT_NE(d.base_addr(), c.base_addr());
+}
+
+/// The storage allocator default-initializes, so the zero-filling
+/// constructors must fill explicitly: they read back zeros even when the
+/// heap hands back storage of the same size that was freed full of
+/// non-zero bytes.
+TEST_F(WarpFixture, ZeroFillingConstructorsReadZerosOnReusedStorage) {
+  constexpr std::size_t n = 4096;
+  const auto all_zero = [](std::span<const float> v, std::size_t from = 0) {
+    for (std::size_t i = from; i < v.size(); ++i) {
+      if (v[i] != 0.0f) return false;
+    }
+    return true;
+  };
+  const auto free_dirty_storage = [] { DeviceArray<float> junk(n, 7.0f); };
+  for (int round = 0; round < 4; ++round) {
+    free_dirty_storage();
+    const DeviceArray<float> a(n);
+    EXPECT_TRUE(all_zero(a.host()));
+    free_dirty_storage();
+    const kernels::DenseMatrix m(64, 64);  // 4096 elements
+    EXPECT_TRUE(all_zero(m.device().host()));
+    free_dirty_storage();
+    DeviceArray<float> grown(16, 1.0f);
+    grown.resize(n);
+    EXPECT_EQ(grown[15], 1.0f);
+    EXPECT_TRUE(all_zero(grown.host(), 16));
+  }
+}
+
+/// In builds with assertions the unfilled constructor poisons its storage:
+/// an element its caller fails to write reads NaN and breaks bitwise tests.
+TEST_F(WarpFixture, UninitializedMatrixIsPoisonedInDebugBuilds) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "uninitialized buffers are only poisoned without NDEBUG";
+#else
+  const kernels::DenseMatrix m(33, 17, kernels::Layout::RowMajor, uninitialized);
+  ASSERT_EQ(m.size(), 33u * 17u);
+  for (const float v : m.device().host()) ASSERT_TRUE(std::isnan(v));
+#endif
 }
 
 }  // namespace
