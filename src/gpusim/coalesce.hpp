@@ -18,13 +18,19 @@
 namespace gespmm::gpusim {
 
 /// Result of coalescing one SIMT memory instruction.
+///
+/// Only the first `transactions` entries of `segments` are written; the
+/// entries past them are unspecified and must not be read. The simulator
+/// coalesces every load and store it models, so this result is built once
+/// per simulated instruction and is deliberately not zero-filled.
 struct CoalesceResult {
   /// Number of 32-byte transactions issued.
   int transactions = 0;
   /// Bytes actually referenced by the program (unique addresses * size).
   std::uint64_t useful_bytes = 0;
-  /// The distinct 32-byte-aligned segment addresses (for cache lookups).
-  std::array<std::uint64_t, 2 * kWarpSize> segments{};
+  /// The distinct 32-byte-aligned segment addresses (for cache lookups),
+  /// in entries [0, transactions).
+  std::array<std::uint64_t, 2 * kWarpSize> segments;
 };
 
 inline constexpr int kSegmentShift = 5;  // 32-byte transactions

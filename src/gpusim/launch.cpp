@@ -7,6 +7,11 @@ namespace gespmm::gpusim {
 
 namespace {
 
+/// Simulated blocks an OpenMP thread takes at a time. A grid of at most this
+/// many simulated blocks is a single chunk that only one thread could work
+/// on, so launch() runs it on the calling thread without opening a team.
+constexpr long long kBlocksPerChunk = 64;
+
 std::vector<long long> select_blocks(long long grid, const SamplePolicy& policy,
                                      bool& sampled) {
   sampled = static_cast<std::uint64_t>(grid) > policy.max_blocks;
@@ -73,19 +78,31 @@ LaunchResult launch(const DeviceSpec& dev, const Kernel& kernel,
   const auto blocks = select_blocks(res.config.grid, policy, sampled);
   const long long simulated = static_cast<long long>(blocks.size());
 
+  // Metrics merge by integer sums and a max, so how blocks are split across
+  // threads never changes the result.
   LaunchMetrics total;
-#pragma omp parallel
-  {
-    // Each simulation thread keeps its own runtime (caches, counters, smem).
+  if (simulated <= kBlocksPerChunk) {
     BlockRuntime rt;
     rt.configure(dev, res.config);
-#pragma omp for schedule(dynamic, 64)
-    for (long long i = 0; i < simulated; ++i) {
-      BlockCtx blk(rt, res.config, blocks[static_cast<std::size_t>(i)]);
+    for (long long b : blocks) {
+      BlockCtx blk(rt, res.config, b);
       kernel.run_block(blk);
     }
+    total = rt.metrics;
+  } else {
+#pragma omp parallel
+    {
+      // Each simulation thread keeps its own runtime (caches, counters, smem).
+      BlockRuntime rt;
+      rt.configure(dev, res.config);
+#pragma omp for schedule(dynamic, kBlocksPerChunk)
+      for (long long i = 0; i < simulated; ++i) {
+        BlockCtx blk(rt, res.config, blocks[static_cast<std::size_t>(i)]);
+        kernel.run_block(blk);
+      }
 #pragma omp critical
-    total += rt.metrics;
+      total += rt.metrics;
+    }
   }
 
   finalize_result(res, dev, total, sampled, simulated);

@@ -12,6 +12,13 @@
 /// coalesced, cached and counted exactly the same, loads return zero lanes
 /// and stores are discarded. Kernels never branch on dense B/C values, so
 /// a launch's metrics and modelled time do not depend on them.
+///
+/// Every simulated instruction passes through here, so a pricing run's host
+/// cost is this bookkeeping: per instruction a coalesce, per 32-byte
+/// transaction a cache lookup. The coalesced segment list is written only
+/// up to its transaction count (coalesce.hpp), not zero-filled first, and
+/// kernels skip their per-lane value folds when C is address-only
+/// (KERNELS.md); the accesses they make are the same either way.
 
 #include <cassert>
 #include <cstddef>

@@ -12,6 +12,7 @@
 #include <functional>
 #include <limits>
 
+#include "gpusim/types.hpp"
 #include "sparse/csr.hpp"
 
 namespace gespmm::kernels {
@@ -88,6 +89,31 @@ struct CustomReduceOp {
   /// multiplication.
   std::function<value_t(value_t a, value_t b)> combine;
 };
+
+/// One nonzero `v` of a row folded into a warp's output columns:
+/// acc[l] = reduce(acc[l], combine(v, b[l])) on every lane active in `mask`.
+/// The simulated kernels' per-lane arithmetic; it adds no simulated event.
+template <typename Reduce>
+void fold_lanes(gpusim::Lanes<value_t>& acc, value_t v, const gpusim::Lanes<value_t>& b,
+                gpusim::LaneMask mask) {
+  for (int l = 0; l < gpusim::kWarpSize; ++l) {
+    if (gpusim::lane_active(mask, l)) {
+      const auto s = static_cast<std::size_t>(l);
+      acc[s] = Reduce::reduce(acc[s], Reduce::combine(v, b[s]));
+    }
+  }
+}
+
+/// acc[l] = finalize(acc[l], row_nnz) on every lane active in `mask`.
+template <typename Reduce>
+void finalize_lanes(gpusim::Lanes<value_t>& acc, index_t row_nnz, gpusim::LaneMask mask) {
+  for (int l = 0; l < gpusim::kWarpSize; ++l) {
+    if (gpusim::lane_active(mask, l)) {
+      const auto s = static_cast<std::size_t>(l);
+      acc[s] = Reduce::finalize(acc[s], row_nnz);
+    }
+  }
+}
 
 /// Dispatch a callable templated on the semiring type over a runtime kind:
 /// `with_semiring(kind, [&]<typename R>() { ... });`

@@ -43,6 +43,10 @@ class SpmmCrcKernel final : public gpusim::Kernel {
     long long chunk;
     map_.decode(blk.block_id(), i, chunk);
     const long long n = map_.n;
+    // An address-only C keeps no values, so the per-lane folds are skipped.
+    // Control flow reads only A's structure and the launch shape: every
+    // access below happens exactly as with real operands.
+    const bool values = !p_->C.device().address_only();
 
     auto sm_k = blk.smem_alloc<index_t>(static_cast<std::size_t>(map_.block_dim));
     auto sm_v = blk.smem_alloc<value_t>(static_cast<std::size_t>(map_.block_dim));
@@ -80,24 +84,13 @@ class SpmmCrcKernel final : public gpusim::Kernel {
           warp.smem_load(sizeof(index_t) + sizeof(value_t));
           const Lanes<value_t> b =
               warp.ld_contig(p_->B.device(), static_cast<std::int64_t>(k) * n + j0, mask);
-          for (int l = 0; l < kWarpSize; ++l) {
-            if (lane_active(mask, l)) {
-              acc[static_cast<std::size_t>(l)] = Reduce::reduce(
-                  acc[static_cast<std::size_t>(l)],
-                  Reduce::combine(v, b[static_cast<std::size_t>(l)]));
-            }
-          }
+          if (values) fold_lanes<Reduce>(acc, v, b, mask);
           warp.count_fma(static_cast<std::uint64_t>(active_lanes(mask)));
           warp.count_inst(2);
         }
         warp.count_inst(2);  // outer tile loop
       }
-      for (int l = 0; l < kWarpSize; ++l) {
-        if (lane_active(mask, l)) {
-          acc[static_cast<std::size_t>(l)] =
-              Reduce::finalize(acc[static_cast<std::size_t>(l)], hi - lo);
-        }
-      }
+      if (values) finalize_lanes<Reduce>(acc, hi - lo, mask);
       warp.st_contig(p_->C.device(), static_cast<std::int64_t>(i) * n + j0, acc, mask);
     }
   }

@@ -53,6 +53,8 @@ class SpmmCrcCwmKernel final : public gpusim::Kernel {
     long long chunk;
     map_.decode(blk.block_id(), i, chunk);
     const long long n = map_.n;
+    // No per-lane folds for an address-only C (see SpmmCrcKernel).
+    const bool values = !p_->C.device().address_only();
 
     auto sm_k = blk.smem_alloc<index_t>(static_cast<std::size_t>(map_.block_dim));
     auto sm_v = blk.smem_alloc<value_t>(static_cast<std::size_t>(map_.block_dim));
@@ -101,14 +103,7 @@ class SpmmCrcCwmKernel final : public gpusim::Kernel {
             if (mc == 0) continue;
             const Lanes<value_t> b = warp.ld_contig(
                 p_->B.device(), static_cast<std::int64_t>(k) * n + j0 + 32LL * c, mc);
-            auto& a = acc[static_cast<std::size_t>(c)];
-            for (int l = 0; l < kWarpSize; ++l) {
-              if (lane_active(mc, l)) {
-                a[static_cast<std::size_t>(l)] =
-                    Reduce::reduce(a[static_cast<std::size_t>(l)],
-                                   Reduce::combine(v, b[static_cast<std::size_t>(l)]));
-              }
-            }
+            if (values) fold_lanes<Reduce>(acc[static_cast<std::size_t>(c)], v, b, mc);
             warp.count_fma(static_cast<std::uint64_t>(active_lanes(mc)));
           }
           warp.count_inst(2);
@@ -120,12 +115,7 @@ class SpmmCrcCwmKernel final : public gpusim::Kernel {
         const LaneMask mc = masks[static_cast<std::size_t>(c)];
         if (mc == 0) continue;
         auto& a = acc[static_cast<std::size_t>(c)];
-        for (int l = 0; l < kWarpSize; ++l) {
-          if (lane_active(mc, l)) {
-            a[static_cast<std::size_t>(l)] =
-                Reduce::finalize(a[static_cast<std::size_t>(l)], hi - lo);
-          }
-        }
+        if (values) finalize_lanes<Reduce>(a, hi - lo, mc);
         warp.st_contig(p_->C.device(), static_cast<std::int64_t>(i) * n + j0 + 32LL * c, a,
                        mc);
       }

@@ -56,6 +56,8 @@ class SpmmCsrmm2Kernel final : public gpusim::Kernel {
     const long long n = map_.n;
     const long long m = p_->m();
     auto stage = blk.smem_alloc<value_t>(static_cast<std::size_t>(map_.block_dim));
+    // No per-lane folds for an address-only C (see SpmmCrcKernel).
+    const bool values = !p_->C.device().address_only();
 
     for (int w = 0; w < blk.num_warps(); ++w) {
       const long long j0 = map_.warp_col_base(chunk, w);
@@ -75,11 +77,7 @@ class SpmmCsrmm2Kernel final : public gpusim::Kernel {
         const value_t v = warp.ld_broadcast(p_->A.val, ptr, mask);
         const Lanes<value_t> b =
             warp.ld_contig(p_->B.device(), static_cast<std::int64_t>(k) * n + j0, mask);
-        for (int l = 0; l < kWarpSize; ++l) {
-          if (lane_active(mask, l)) {
-            acc[static_cast<std::size_t>(l)] += v * b[static_cast<std::size_t>(l)];
-          }
-        }
+        if (values) fold_lanes<SumReduce>(acc, v, b, mask);
         warp.count_fma(static_cast<std::uint64_t>(active_lanes(mask)));
         if (((ptr - lo) & 3) == 3) warp.count_inst(2);  // unrolled-by-4 loop
       }
@@ -99,20 +97,16 @@ class SpmmCsrmm2Kernel final : public gpusim::Kernel {
       // staged write-back streams them as one coalesced burst equivalent
       // (4 transactions), modelling the vendor kernel's transposed tile
       // store. Functionally we store each element to its exact location.
-      Lanes<std::int64_t> idx{};
-      for (int l = 0; l < kWarpSize; ++l) {
-        idx[static_cast<std::size_t>(l)] = (j0 + l) * m + i;
-      }
       // Account as a contiguous burst (staged), then move the real values
       // (none for an address-only C: this is the one host write outside
       // WarpCtx, so it applies the guard WarpCtx's stores apply).
       const auto burst = coalesce_contiguous(
           p_->C.device().base_addr() + static_cast<std::uint64_t>(j0) * sizeof(value_t),
           sizeof(value_t), mask);
-      if (!p_->C.device().address_only()) {
+      if (values) {
         for (int l = 0; l < kWarpSize; ++l) {
           if (lane_active(mask, l)) {
-            p_->C.device()[static_cast<std::size_t>(idx[static_cast<std::size_t>(l)])] =
+            p_->C.device()[static_cast<std::size_t>((j0 + l) * m + i)] =
                 acc[static_cast<std::size_t>(l)];
           }
         }

@@ -46,6 +46,8 @@ class SpmmDglFallbackKernel final : public gpusim::Kernel {
     long long chunk;
     map_.decode(blk.block_id(), i, chunk);
     const long long n = map_.n;
+    // No per-lane folds for an address-only C (see SpmmCrcKernel).
+    const bool values = !p_->C.device().address_only();
 
     for (int w = 0; w < blk.num_warps(); ++w) {
       const long long j0 = map_.warp_col_base(chunk, w);
@@ -70,13 +72,7 @@ class SpmmDglFallbackKernel final : public gpusim::Kernel {
         const Lanes<value_t> b =
             warp.ld_contig(p_->B.device(), static_cast<std::int64_t>(k) * n + j0, mask);
         Lanes<value_t> cur = warp.ld_contig(p_->C.device(), c_base, mask);
-        for (int l = 0; l < kWarpSize; ++l) {
-          if (lane_active(mask, l)) {
-            cur[static_cast<std::size_t>(l)] = Reduce::reduce(
-                cur[static_cast<std::size_t>(l)],
-                Reduce::combine(v, b[static_cast<std::size_t>(l)]));
-          }
-        }
+        if (values) fold_lanes<Reduce>(cur, v, b, mask);
         warp.st_contig(p_->C.device(), c_base, cur, mask);
         warp.count_fma(static_cast<std::uint64_t>(active_lanes(mask)));
         // Functor dispatch + bounds checks of the generic message kernel.
@@ -84,12 +80,7 @@ class SpmmDglFallbackKernel final : public gpusim::Kernel {
       }
       // Finalize pass (degree normalization for mean, identity otherwise).
       Lanes<value_t> fin = warp.ld_contig(p_->C.device(), c_base, mask);
-      for (int l = 0; l < kWarpSize; ++l) {
-        if (lane_active(mask, l)) {
-          fin[static_cast<std::size_t>(l)] =
-              Reduce::finalize(fin[static_cast<std::size_t>(l)], hi - lo);
-        }
-      }
+      if (values) finalize_lanes<Reduce>(fin, hi - lo, mask);
       warp.st_contig(p_->C.device(), c_base, fin, mask);
     }
   }

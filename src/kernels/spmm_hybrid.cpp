@@ -112,6 +112,11 @@ class SpmmHybridDenseKernel final : public gpusim::Kernel {
     using namespace gpusim;
     const long long wnd = blk.block_id();
     const long long n = p_->n();
+    // An address-only C keeps no values: A's values are not staged, B rows
+    // are not kept and the row folds are skipped. The column union is
+    // addresses, so it is built either way, and every access happens
+    // exactly as with real operands.
+    const bool values = !p_->C.device().address_only();
     WarpCtx warp0 = blk.warp(0);
 
     const index_t r0 = static_cast<index_t>(wnd) * tile_.m;
@@ -133,7 +138,7 @@ class SpmmHybridDenseKernel final : public gpusim::Kernel {
     // colind/val tile loads, the A-fragment build charged as shared-memory
     // stores. Every warp then reuses the staged window across its chunks.
     std::vector<std::vector<index_t>> cols(static_cast<std::size_t>(wrows));
-    std::vector<std::vector<value_t>> vals(static_cast<std::size_t>(wrows));
+    std::vector<std::vector<value_t>> vals(values ? static_cast<std::size_t>(wrows) : 0);
     for (int r = 0; r < wrows; ++r) {
       const index_t rlo = lo[static_cast<std::size_t>(r)];
       const index_t rhi = hi[static_cast<std::size_t>(r)];
@@ -143,9 +148,11 @@ class SpmmHybridDenseKernel final : public gpusim::Kernel {
         const LaneMask lm = first_lanes(tile);
         const Lanes<index_t> kk = warp0.ld_contig(p_->A.colind, ptr, lm);
         const Lanes<value_t> vv = warp0.ld_contig(p_->A.val, ptr, lm);
-        for (int l = 0; l < tile; ++l) {
-          cols[static_cast<std::size_t>(r)].push_back(kk[static_cast<std::size_t>(l)]);
-          vals[static_cast<std::size_t>(r)].push_back(vv[static_cast<std::size_t>(l)]);
+        auto& cr = cols[static_cast<std::size_t>(r)];
+        cr.insert(cr.end(), kk.begin(), kk.begin() + tile);
+        if (values) {
+          auto& vr = vals[static_cast<std::size_t>(r)];
+          vr.insert(vr.end(), vv.begin(), vv.begin() + tile);
         }
         warp0.smem_store(static_cast<std::uint64_t>(tile) *
                          (sizeof(index_t) + sizeof(value_t)));
@@ -159,7 +166,7 @@ class SpmmHybridDenseKernel final : public gpusim::Kernel {
     std::sort(uni.begin(), uni.end());
     uni.erase(std::unique(uni.begin(), uni.end()), uni.end());
 
-    std::vector<Lanes<value_t>> bstage(uni.size());
+    std::vector<Lanes<value_t>> bstage(values ? uni.size() : 0);
     for (int w = 0; w < blk.num_warps(); ++w) {
       WarpCtx warp = blk.warp(w);
       for (long long chunk = w; chunk < col_chunks_; chunk += blk.num_warps()) {
@@ -179,9 +186,9 @@ class SpmmHybridDenseKernel final : public gpusim::Kernel {
           const std::size_t slice = std::min<std::size_t>(
               static_cast<std::size_t>(tile_.k), uni.size() - u0);
           for (std::size_t s = 0; s < slice; ++s) {
-            bstage[u0 + s] = warp.ld_contig(
-                p_->B.device(),
-                static_cast<std::int64_t>(uni[u0 + s]) * n + j0, mask);
+            const Lanes<value_t> b = warp.ld_contig(
+                p_->B.device(), static_cast<std::int64_t>(uni[u0 + s]) * n + j0, mask);
+            if (values) bstage[u0 + s] = b;
             warp.smem_store(static_cast<std::uint64_t>(active_lanes(mask)) *
                             sizeof(value_t));
           }
@@ -199,27 +206,16 @@ class SpmmHybridDenseKernel final : public gpusim::Kernel {
         // above.
         for (int r = 0; r < wrows; ++r) {
           Lanes<value_t> acc = splat(Reduce::init());
-          const auto& cr = cols[static_cast<std::size_t>(r)];
-          const auto& vr = vals[static_cast<std::size_t>(r)];
-          for (std::size_t t = 0; t < cr.size(); ++t) {
-            const std::size_t s = static_cast<std::size_t>(
-                std::lower_bound(uni.begin(), uni.end(), cr[t]) - uni.begin());
-            const value_t v = vr[t];
-            for (int l = 0; l < kWarpSize; ++l) {
-              if (lane_active(mask, l)) {
-                acc[static_cast<std::size_t>(l)] = Reduce::reduce(
-                    acc[static_cast<std::size_t>(l)],
-                    Reduce::combine(v, bstage[s][static_cast<std::size_t>(l)]));
-              }
+          if (values) {
+            const auto& cr = cols[static_cast<std::size_t>(r)];
+            const auto& vr = vals[static_cast<std::size_t>(r)];
+            for (std::size_t t = 0; t < cr.size(); ++t) {
+              const std::size_t s = static_cast<std::size_t>(
+                  std::lower_bound(uni.begin(), uni.end(), cr[t]) - uni.begin());
+              fold_lanes<Reduce>(acc, vr[t], bstage[s], mask);
             }
-          }
-          const index_t row_nnz =
-              hi[static_cast<std::size_t>(r)] - lo[static_cast<std::size_t>(r)];
-          for (int l = 0; l < kWarpSize; ++l) {
-            if (lane_active(mask, l)) {
-              acc[static_cast<std::size_t>(l)] =
-                  Reduce::finalize(acc[static_cast<std::size_t>(l)], row_nnz);
-            }
+            finalize_lanes<Reduce>(
+                acc, hi[static_cast<std::size_t>(r)] - lo[static_cast<std::size_t>(r)], mask);
           }
           warp.st_contig(
               p_->C.device(),
@@ -269,6 +265,8 @@ class SpmmHybridRaggedKernel final : public gpusim::Kernel {
     long long chunk;
     map_.decode(blk.block_id(), ridx, chunk);
     const long long n = map_.n;
+    // No per-lane folds for an address-only C (see SpmmCrcKernel).
+    const bool values = !p_->C.device().address_only();
 
     auto sm_k = blk.smem_alloc<index_t>(static_cast<std::size_t>(map_.block_dim));
     auto sm_v = blk.smem_alloc<value_t>(static_cast<std::size_t>(map_.block_dim));
@@ -306,24 +304,13 @@ class SpmmHybridRaggedKernel final : public gpusim::Kernel {
           warp.smem_load(sizeof(index_t) + sizeof(value_t));
           const Lanes<value_t> b =
               warp.ld_contig(p_->B.device(), static_cast<std::int64_t>(k) * n + j0, mask);
-          for (int l = 0; l < kWarpSize; ++l) {
-            if (lane_active(mask, l)) {
-              acc[static_cast<std::size_t>(l)] = Reduce::reduce(
-                  acc[static_cast<std::size_t>(l)],
-                  Reduce::combine(v, b[static_cast<std::size_t>(l)]));
-            }
-          }
+          if (values) fold_lanes<Reduce>(acc, v, b, mask);
           warp.count_fma(static_cast<std::uint64_t>(active_lanes(mask)));
           warp.count_inst(2);
         }
         warp.count_inst(2);
       }
-      for (int l = 0; l < kWarpSize; ++l) {
-        if (lane_active(mask, l)) {
-          acc[static_cast<std::size_t>(l)] =
-              Reduce::finalize(acc[static_cast<std::size_t>(l)], hi - lo);
-        }
-      }
+      if (values) finalize_lanes<Reduce>(acc, hi - lo, mask);
       warp.st_contig(p_->C.device(), static_cast<std::int64_t>(i) * n + j0, acc, mask);
     }
   }

@@ -62,6 +62,8 @@ class SpmmMergeSplitKernel final : public gpusim::Kernel {
     using namespace gpusim;
     const long long n = p_->n();
     const index_t nnz = p_->A.nnz();
+    // No per-lane folds for an address-only C (see SpmmCrcKernel).
+    const bool values = !p_->C.device().address_only();
     if (nnz == 0) {
       zero_fill_rows(blk);
       return;
@@ -104,11 +106,7 @@ class SpmmMergeSplitKernel final : public gpusim::Kernel {
             const value_t v = warp.shfl(vv, t);
             const Lanes<value_t> b = warp.ld_contig(
                 p_->B.device(), static_cast<std::int64_t>(k) * n + j0, mask);
-            for (int l = 0; l < kWarpSize; ++l) {
-              if (lane_active(mask, l)) {
-                acc[static_cast<std::size_t>(l)] += v * b[static_cast<std::size_t>(l)];
-              }
-            }
+            if (values) fold_lanes<SumReduce>(acc, v, b, mask);
             warp.count_fma(static_cast<std::uint64_t>(active_lanes(mask)));
             warp.count_inst(2);
           }

@@ -38,6 +38,8 @@ class SpmmNaiveKernel final : public gpusim::Kernel {
     long long chunk;
     map_.decode(blk.block_id(), i, chunk);
     const long long n = map_.n;
+    // No per-lane folds for an address-only C (see SpmmCrcKernel).
+    const bool values = !p_->C.device().address_only();
 
     for (int w = 0; w < blk.num_warps(); ++w) {
       const long long j0 = map_.warp_col_base(chunk, w);
@@ -55,22 +57,11 @@ class SpmmNaiveKernel final : public gpusim::Kernel {
         const value_t v = warp.ld_broadcast(p_->A.val, ptr, mask);
         const Lanes<value_t> b =
             warp.ld_contig(p_->B.device(), static_cast<std::int64_t>(k) * n + j0, mask);
-        for (int l = 0; l < kWarpSize; ++l) {
-          if (lane_active(mask, l)) {
-            acc[static_cast<std::size_t>(l)] = Reduce::reduce(
-                acc[static_cast<std::size_t>(l)],
-                Reduce::combine(v, b[static_cast<std::size_t>(l)]));
-          }
-        }
+        if (values) fold_lanes<Reduce>(acc, v, b, mask);
         warp.count_fma(static_cast<std::uint64_t>(active_lanes(mask)));
         warp.count_inst(2);  // loop bound check + pointer increment
       }
-      for (int l = 0; l < kWarpSize; ++l) {
-        if (lane_active(mask, l)) {
-          acc[static_cast<std::size_t>(l)] =
-              Reduce::finalize(acc[static_cast<std::size_t>(l)], hi - lo);
-        }
-      }
+      if (values) finalize_lanes<Reduce>(acc, hi - lo, mask);
       warp.st_contig(p_->C.device(), static_cast<std::int64_t>(i) * n + j0, acc, mask);
     }
   }

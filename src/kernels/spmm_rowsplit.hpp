@@ -39,6 +39,8 @@ class SpmmRowSplitGBKernel final : public gpusim::Kernel {
   void run_block(gpusim::BlockCtx& blk) const override {
     using namespace gpusim;
     const long long n = p_->n();
+    // No per-lane folds for an address-only C (see SpmmCrcKernel).
+    const bool values = !p_->C.device().address_only();
     for (int w = 0; w < blk.num_warps(); ++w) {
       const long long i = blk.block_id() * kWarpsPerBlock + w;
       if (i >= p_->m()) break;
@@ -64,24 +66,13 @@ class SpmmRowSplitGBKernel final : public gpusim::Kernel {
             const value_t v = warp.shfl(vv, t);
             const Lanes<value_t> b = warp.ld_contig(
                 p_->B.device(), static_cast<std::int64_t>(k) * n + j0, mask);
-            for (int l = 0; l < kWarpSize; ++l) {
-              if (lane_active(mask, l)) {
-                acc[static_cast<std::size_t>(l)] = Reduce::reduce(
-                    acc[static_cast<std::size_t>(l)],
-                    Reduce::combine(v, b[static_cast<std::size_t>(l)]));
-              }
-            }
+            if (values) fold_lanes<Reduce>(acc, v, b, mask);
             warp.count_fma(static_cast<std::uint64_t>(active_lanes(mask)));
             warp.count_inst(2);
           }
           warp.count_inst(2);
         }
-        for (int l = 0; l < kWarpSize; ++l) {
-          if (lane_active(mask, l)) {
-            acc[static_cast<std::size_t>(l)] =
-                Reduce::finalize(acc[static_cast<std::size_t>(l)], hi - lo);
-          }
-        }
+        if (values) finalize_lanes<Reduce>(acc, hi - lo, mask);
         warp.st_contig(p_->C.device(), i * n + j0, acc, mask);
         warp.count_inst(2);
       }

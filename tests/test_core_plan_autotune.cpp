@@ -1,13 +1,9 @@
-/// Learned kernel selection and the CF autotuner, plus the ELLPACK-R
-/// kernel's correctness and its padding-driven failure mode on skewed
-/// graphs.
+/// Learned kernel selection and the CF autotuner.
 
 #include <gtest/gtest.h>
 
 #include "core/autotune.hpp"
-#include "kernels/spmm_ell.hpp"
-#include "sparse/datasets.hpp"
-#include "test_util.hpp"
+#include "sparse/generators.hpp"
 
 namespace gespmm {
 namespace {
@@ -75,50 +71,6 @@ TEST(Autotune, ReportsPerCandidateTimes) {
   for (const auto& [algo, ms] : res.times_ms) {
     EXPECT_LE(res.times_ms.at(res.best), ms);
   }
-}
-
-TEST(EllKernel, MatchesReferenceAcrossWidths) {
-  const Csr a = testutil::zoo_uniform();
-  const auto ell = sparse::csr_to_ell(a);
-  kernels::EllDevice dev(ell);
-  for (sparse::index_t n : {1, 16, 33, 64}) {
-    kernels::SpmmProblem p(a, n);
-    kernels::fill_random(p.B, 3);
-    kernels::run_spmm_ell(dev, p);
-    testutil::expect_matches_reference(a, p.B, p.C, kernels::ReduceKind::Sum);
-  }
-}
-
-TEST(EllKernel, SupportsSpmmLikeReductions) {
-  const Csr a = testutil::zoo_empty_rows();
-  const auto ell = sparse::csr_to_ell(a);
-  kernels::EllDevice dev(ell);
-  for (auto kind : {kernels::ReduceKind::Max, kernels::ReduceKind::Mean}) {
-    kernels::SpmmProblem p(a, 20);
-    kernels::fill_random(p.B, 4);
-    kernels::SpmmRunOptions opt;
-    opt.reduce = kind;
-    kernels::run_spmm_ell(dev, p, opt);
-    testutil::expect_matches_reference(a, p.B, p.C, kind);
-  }
-}
-
-TEST(EllKernel, SkewKillsEllButNotGeSpmm) {
-  // The padding failure mode: on a power-law graph the padded width
-  // explodes and the ELL kernel does useless masked work; GE-SpMM's CSR
-  // kernel is unaffected. This is the paper's argument against
-  // preprocessed formats for graphs, measured.
-  const Csr skewed = sparse::rmat(11, 8.0, 0.57, 0.19, 0.19, 510);
-  const auto ell = sparse::csr_to_ell(skewed);
-  EXPECT_GT(ell.padding_overhead(skewed.nnz()), 0.5);
-
-  kernels::EllDevice edev(ell);
-  kernels::SpmmProblem p1(skewed, 128), p2(skewed, 128);
-  kernels::SpmmRunOptions opt;
-  opt.sample = gpusim::SamplePolicy::sampled(512);
-  const double t_ell = kernels::run_spmm_ell(edev, p1, opt).time_ms();
-  const double t_ge = kernels::run_spmm(SpmmAlgo::GeSpMM, p2, opt).time_ms();
-  EXPECT_GT(t_ell / t_ge, 1.3) << "ELL should lose clearly on skewed graphs";
 }
 
 }  // namespace

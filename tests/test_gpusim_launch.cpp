@@ -1,18 +1,21 @@
 /// Launch engine tests: metric collection, block sampling extrapolation,
-/// determinism, cost-model sanity/monotonicity properties, and pricing on
-/// address-only operands.
+/// determinism, cost-model sanity/monotonicity properties, pricing on
+/// address-only operands, and digests that pin the simulated event stream.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
+#include "core/autotune.hpp"
 #include "gpusim/gpusim.hpp"
 #include "kernels/registry.hpp"
 #include "kernels/spmm_hybrid.hpp"
 #include "kernels/spmm_problem.hpp"
 #include "sparse/generators.hpp"
+#include "sparse/sampling.hpp"
 
 namespace gespmm::gpusim {
 namespace {
@@ -237,6 +240,42 @@ void expect_bitwise_equal(const LaunchResult& full, const LaunchResult& addr) {
   EXPECT_STREQ(full.time.bottleneck, addr.time.bottleneck);
 }
 
+/// 64-bit FNV-1a over a stream of words and text: a fingerprint of every
+/// simulated result a test computes, in the order it computes them.
+class EventDigest {
+ public:
+  void add(std::uint64_t w) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<unsigned char>(w >> (8 * i)));
+  }
+  void add(double d) { add(std::bit_cast<std::uint64_t>(d)); }
+  void add(std::string_view s) {
+    for (const char c : s) byte(static_cast<unsigned char>(c));
+    add(static_cast<std::uint64_t>(s.size()));
+  }
+  void add(const LaunchResult& r) {
+    for (const std::uint64_t w : launch_bits(r)) add(w);
+    add(std::string_view(r.time.bottleneck));
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  void byte(unsigned char b) {
+    h_ ^= b;
+    h_ *= 0x100000001b3ull;
+  }
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+/// Empty rows (fewer nonzeros than rows), a skewed rmat, and a pruned DNN
+/// whose dense rows send the hybrid kernel down its MMA partition.
+std::vector<sparse::Csr> pricing_matrices() {
+  return {
+      sparse::uniform_random(160, 140, 120, 3),
+      sparse::rmat(7, 6.0, 0.57, 0.19, 0.19, 5),
+      sparse::pruned_dnn(96, 96, 16, 0.8, 7),
+  };
+}
+
 /// A pricing run on an address-only problem (B and C without host storage)
 /// reports exactly what the same run on real, randomly filled operands
 /// reports: no simulated kernel branches on dense values, and the problem
@@ -245,13 +284,7 @@ TEST(AddressOnlyPricing, BitwiseEqualToFullPayload) {
   using kernels::SpmmAlgo;
   using sparse::Csr;
   using sparse::index_t;
-  // Empty rows (fewer nonzeros than rows), a skewed rmat, and a pruned DNN
-  // whose dense rows send the hybrid kernel down its MMA partition.
-  const std::vector<Csr> matrices = {
-      sparse::uniform_random(160, 140, 120, 3),
-      sparse::rmat(7, 6.0, 0.57, 0.19, 0.19, 5),
-      sparse::pruned_dnn(96, 96, 16, 0.8, 7),
-  };
+  const std::vector<Csr> matrices = pricing_matrices();
   const SpmmAlgo semiring_algos[] = {
       SpmmAlgo::Naive,   SpmmAlgo::Crc,        SpmmAlgo::CrcCwm2,  SpmmAlgo::CrcCwm4,
       SpmmAlgo::CrcCwm8, SpmmAlgo::RowSplitGB, SpmmAlgo::SpmvLoop, SpmmAlgo::DglFallback};
@@ -259,6 +292,7 @@ TEST(AddressOnlyPricing, BitwiseEqualToFullPayload) {
                                      SpmmAlgo::Gunrock};
   bool saw_empty_row = false;
   bool saw_mma_rows = false;
+  EventDigest digest;
   for (const Csr& a : matrices) {
     for (index_t i = 0; i < a.rows; ++i) {
       saw_empty_row = saw_empty_row || a.rowptr[static_cast<std::size_t>(i)] ==
@@ -297,6 +331,7 @@ TEST(AddressOnlyPricing, BitwiseEqualToFullPayload) {
                                                return kernels::run_spmm(algo, p, opt);
                                              });
               expect_bitwise_equal(full, addr);
+              digest.add(addr);
             }
             SCOPED_TRACE(testing::Message()
                          << "hybrid n=" << n << " " << dev.name
@@ -313,6 +348,9 @@ TEST(AddressOnlyPricing, BitwiseEqualToFullPayload) {
                       std::bit_cast<std::uint64_t>(addr.ragged_ms));
             EXPECT_EQ(full.dense_rows, addr.dense_rows);
             saw_mma_rows = saw_mma_rows || full.dense_rows > 0;
+            digest.add(addr.total);
+            digest.add(addr.dense_ms);
+            digest.add(addr.ragged_ms);
           }
           opt.reduce = kernels::ReduceKind::Sum;
           for (const SpmmAlgo algo : sum_only_algos) {
@@ -325,6 +363,7 @@ TEST(AddressOnlyPricing, BitwiseEqualToFullPayload) {
               return kernels::run_spmm(algo, p, opt);
             });
             expect_bitwise_equal(full, addr);
+            digest.add(addr);
           }
         }
       }
@@ -332,6 +371,59 @@ TEST(AddressOnlyPricing, BitwiseEqualToFullPayload) {
   }
   EXPECT_TRUE(saw_empty_row);
   EXPECT_TRUE(saw_mma_rows);
+  // The simulated event stream, pinned: every counter, time term and
+  // bottleneck above, in order. A changed value means the event stream
+  // changed (an access, a count, their order or a cache state). A change
+  // that does that re-records BENCH_baseline.json, says why, and only then
+  // updates this constant.
+  EXPECT_EQ(digest.value(), 0x20747ad0e10dd51bull);
+}
+
+/// The pricing path the serving layer runs: `autotune_spmm` in Predict and
+/// Exact mode over the matrices above and over one sampled GraphSAGE block
+/// (the sampled-cold operand shape), each from a reset address space.
+TEST(AddressOnlyPricing, AutotuneEventStreamPinned) {
+  using sparse::index_t;
+  struct Shape {
+    sparse::Csr a;
+    std::vector<index_t> widths;
+  };
+  std::vector<Shape> shapes;
+  for (sparse::Csr& a : pricing_matrices()) {
+    shapes.push_back({std::move(a), {1, 31, 32, 33, 64, 100}});
+  }
+  const sparse::Csr graph = sparse::rmat(12, 16.0, 0.57, 0.19, 0.19, 13);
+  std::vector<index_t> seeds(256);
+  for (std::size_t s = 0; s < seeds.size(); ++s) {
+    seeds[s] = static_cast<index_t>(s * 13 % static_cast<std::size_t>(graph.rows));
+  }
+  shapes.push_back(
+      {sparse::sample_neighbors(graph, seeds, {.fanout = 25, .seed = 17}).adj, {64, 256}});
+
+  EventDigest digest;
+  for (const Shape& s : shapes) {
+    for (const index_t n : s.widths) {
+      for (const DeviceSpec& dev : {gtx1080ti(), rtx2080()}) {
+        for (const SelectionMode mode : {SelectionMode::Predict, SelectionMode::Exact}) {
+          AutotuneOptions opt;
+          opt.device = dev;
+          opt.mode = mode;
+          reset_device_address_space();
+          const AutotuneResult r = autotune_spmm(s.a, n, opt);
+          digest.add(static_cast<std::uint64_t>(r.best));
+          for (const auto& [algo, ms] : r.times_ms) {
+            digest.add(static_cast<std::uint64_t>(algo));
+            digest.add(ms);
+          }
+          digest.add(r.build_ms);
+        }
+      }
+    }
+  }
+  // Pinned like BitwiseEqualToFullPayload's digest: a changed value means
+  // the event stream changed, and the change re-records BENCH_baseline.json
+  // and says why.
+  EXPECT_EQ(digest.value(), 0x3e89d23858731cd0ull);
 }
 
 }  // namespace

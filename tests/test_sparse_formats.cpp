@@ -1,41 +1,15 @@
-/// ELLPACK-R, ASpT and MatrixMarket format tests.
+/// ASpT and MatrixMarket format tests.
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "sparse/aspt.hpp"
-#include "sparse/ell.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/mm_io.hpp"
 
 namespace gespmm::sparse {
 namespace {
-
-TEST(Ell, RoundTripPreservesMatrix) {
-  const Csr a = uniform_random(100, 120, 700, 21);
-  const EllR e = csr_to_ell(a);
-  EXPECT_EQ(e.width, a.max_row_nnz());
-  EXPECT_EQ(ell_to_csr(e), a);
-}
-
-TEST(Ell, PaddingOverheadGrowsWithSkew) {
-  const Csr uniform = uniform_random(512, 512, 4096, 22);
-  const Csr skewed = rmat(9, 8.0, 0.55, 0.2, 0.2, 23);
-  const double pu = csr_to_ell(uniform).padding_overhead(uniform.nnz());
-  const double ps = csr_to_ell(skewed).padding_overhead(skewed.nnz());
-  EXPECT_GT(ps, pu) << "ELLPACK pads skewed matrices more — why the paper "
-                       "calls preprocessed formats impractical for graphs";
-  EXPECT_GE(pu, 0.0);
-  EXPECT_LT(ps, 1.0);
-}
-
-TEST(Ell, EmptyMatrix) {
-  const Csr a(4, 4);
-  const EllR e = csr_to_ell(a);
-  EXPECT_EQ(e.width, 0);
-  EXPECT_EQ(ell_to_csr(e), a);
-}
 
 TEST(Aspt, RoundTripPreservesMatrix) {
   const Csr a = rmat(10, 10.0, 0.5, 0.22, 0.22, 24);

@@ -9,7 +9,6 @@
 
 #include "sparse/aspt.hpp"
 #include "sparse/coo.hpp"
-#include "sparse/ell.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/rng.hpp"
 #include "test_util.hpp"
@@ -63,13 +62,6 @@ TEST_P(SparseProperties, TransposeIsInvolutionAndPreservesNnz) {
 
 TEST_P(SparseProperties, CooRoundTrip) {
   EXPECT_EQ(coo_to_csr(csr_to_coo(c_.matrix)), c_.matrix);
-}
-
-TEST_P(SparseProperties, EllRoundTrip) {
-  const EllR e = csr_to_ell(c_.matrix);
-  EXPECT_EQ(ell_to_csr(e), c_.matrix);
-  EXPECT_GE(e.padding_overhead(c_.matrix.nnz()), 0.0);
-  EXPECT_LE(e.padding_overhead(c_.matrix.nnz()), 1.0);
 }
 
 TEST_P(SparseProperties, AsptPartitionIsLossless) {
