@@ -426,5 +426,58 @@ TEST(AddressOnlyPricing, AutotuneEventStreamPinned) {
   EXPECT_EQ(digest.value(), 0x3e89d23858731cd0ull);
 }
 
+/// The CRC family and the hybrid's ragged launch at widths above 256
+/// columns, where CRC's 512-thread block cap and CWM's 256-thread cap give
+/// different blocks. Each run's launch config is folded with its events,
+/// since the block cap and the register count show there first.
+TEST(AddressOnlyPricing, WideCrcFamilyPinned) {
+  using kernels::SpmmAlgo;
+  using sparse::index_t;
+  const auto add_config = [](EventDigest& d, const LaunchConfig& c) {
+    d.add(static_cast<std::uint64_t>(c.grid));
+    d.add(static_cast<std::uint64_t>(c.block));
+    d.add(static_cast<std::uint64_t>(c.smem_bytes));
+    d.add(static_cast<std::uint64_t>(c.regs_per_thread));
+    d.add(c.ilp);
+  };
+  EventDigest digest;
+  int runs = 0;
+  for (const sparse::Csr& a : pricing_matrices()) {
+    for (const index_t n : {257, 300, 512}) {
+      for (const DeviceSpec& dev : {gtx1080ti(), rtx2080()}) {
+        for (const SamplePolicy sample : {SamplePolicy::full(), SamplePolicy::sampled(64)}) {
+          for (const kernels::ReduceKind reduce :
+               {kernels::ReduceKind::Sum, kernels::ReduceKind::Max}) {
+            kernels::SpmmRunOptions opt;
+            opt.device = dev;
+            opt.sample = sample;
+            opt.reduce = reduce;
+            for (const SpmmAlgo algo : {SpmmAlgo::Crc, SpmmAlgo::CrcCwm2, SpmmAlgo::CrcCwm4,
+                                        SpmmAlgo::CrcCwm8, SpmmAlgo::GeSpMM}) {
+              reset_device_address_space();
+              kernels::SpmmProblem p(a, n, kernels::Layout::RowMajor, address_only);
+              const LaunchResult r = kernels::run_spmm(algo, p, opt);
+              digest.add(r);
+              add_config(digest, r.config);
+              ++runs;
+            }
+            reset_device_address_space();
+            kernels::SpmmProblem p(a, n, kernels::Layout::RowMajor, address_only);
+            const kernels::HybridLaunchResult h = kernels::run_spmm_hybrid_detailed(p, opt);
+            digest.add(h.total);
+            add_config(digest, h.total.config);
+            digest.add(h.dense_ms);
+            digest.add(h.ragged_ms);
+            ++runs;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(runs, 432);
+  // Pinned like the digests above.
+  EXPECT_EQ(digest.value(), 0xefc93023e70a7a15ull);
+}
+
 }  // namespace
 }  // namespace gespmm::gpusim
