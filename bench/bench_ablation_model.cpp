@@ -12,7 +12,6 @@
 #include "bench_common/registry.hpp"
 #include "gpusim/gpusim.hpp"
 #include "kernels/spmm_crc.hpp"
-#include "kernels/spmm_crc_cwm.hpp"
 #include "kernels/spmm_naive.hpp"
 #include "sparse/datasets.hpp"
 
@@ -53,7 +52,7 @@ GESPMM_BENCH(ablation_model) {
     SpmmProblem p(matrix, 512);
     SpmmNaiveKernel<> naive(p);
     SpmmCrcKernel<> crc(p);
-    SpmmCrcCwmKernel<SumReduce, 2> cwm(p);
+    SpmmCrcKernel<SumReduce, 2> cwm(p);
     IlpOverride cwm_noilp(cwm, 1.0);
 
     const auto r_naive = gpusim::launch(dev, naive, sample);

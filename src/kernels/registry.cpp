@@ -4,7 +4,6 @@
 
 #include "kernels/spmm_aspt.hpp"
 #include "kernels/spmm_crc.hpp"
-#include "kernels/spmm_crc_cwm.hpp"
 #include "kernels/spmm_csrmm2.hpp"
 #include "kernels/spmm_dgl_fallback.hpp"
 #include "kernels/spmm_gunrock.hpp"
@@ -53,9 +52,9 @@ gpusim::LaunchResult run_semiring_kernel(SpmmProblem& p, const SpmmRunOptions& o
 }
 
 template <int CF>
-gpusim::LaunchResult run_cwm(SpmmProblem& p, const SpmmRunOptions& opt) {
+gpusim::LaunchResult run_crc(SpmmProblem& p, const SpmmRunOptions& opt) {
   return with_semiring(opt.reduce, [&]<typename R>() {
-    SpmmCrcCwmKernel<R, CF> k(p);
+    SpmmCrcKernel<R, CF> k(p);
     return gpusim::launch(opt.device, k, opt.sample);
   });
 }
@@ -126,10 +125,10 @@ gpusim::LaunchResult run_spmm_aspt(const AsptDevice& aspt, SpmmProblem& p,
 gpusim::LaunchResult run_spmm(SpmmAlgo algo, SpmmProblem& p, const SpmmRunOptions& opt) {
   switch (algo) {
     case SpmmAlgo::Naive: return run_semiring_kernel<SpmmNaiveKernel>(p, opt);
-    case SpmmAlgo::Crc: return run_semiring_kernel<SpmmCrcKernel>(p, opt);
-    case SpmmAlgo::CrcCwm2: return run_cwm<2>(p, opt);
-    case SpmmAlgo::CrcCwm4: return run_cwm<4>(p, opt);
-    case SpmmAlgo::CrcCwm8: return run_cwm<8>(p, opt);
+    case SpmmAlgo::Crc: return run_crc<1>(p, opt);
+    case SpmmAlgo::CrcCwm2: return run_crc<2>(p, opt);
+    case SpmmAlgo::CrcCwm4: return run_crc<4>(p, opt);
+    case SpmmAlgo::CrcCwm8: return run_crc<8>(p, opt);
     case SpmmAlgo::GeSpMM: return run_spmm(select_gespmm_algo(p.n()), p, opt);
     case SpmmAlgo::RowSplitGB: return run_semiring_kernel<SpmmRowSplitGBKernel>(p, opt);
     case SpmmAlgo::MergeSplitGB: {

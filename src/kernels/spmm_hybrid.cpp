@@ -4,8 +4,8 @@
 #include <cstdint>
 
 #include "gpusim/gpusim.hpp"
-#include "kernels/row_block_mapping.hpp"
 #include "kernels/semiring.hpp"
+#include "kernels/spmm_crc.hpp"
 
 namespace gespmm::kernels {
 
@@ -27,10 +27,6 @@ HybridPartition partition_rows_by_density(std::span<const index_t> rowptr,
     if (nnz < threshold) part.perm.push_back(i);
   }
   return part;
-}
-
-HybridPartition partition_rows_by_density(const CsrDevice& a, index_t threshold) {
-  return partition_rows_by_density(a.rowptr.host(), threshold);
 }
 
 HybridPartition partition_rows_by_density(const sparse::Csr& a, index_t threshold) {
@@ -236,92 +232,6 @@ class SpmmHybridDenseKernel final : public gpusim::Kernel {
   int warps_ = 1;
 };
 
-/// Ragged-partition sub-kernel: Coalesced Row Caching (Algorithm 2) over
-/// the ragged rows only, reached through the partition permutation.
-template <typename Reduce>
-class SpmmHybridRaggedKernel final : public gpusim::Kernel {
- public:
-  SpmmHybridRaggedKernel(SpmmProblem& p, const gpusim::DeviceArray<index_t>& perm,
-                         index_t dense_rows, index_t ragged_rows)
-      : p_(&p), perm_(&perm), dense_rows_(dense_rows),
-        map_(RowBlockMapping::create(ragged_rows, p.n(), /*cf=*/1)) {}
-
-  gpusim::LaunchConfig config(const gpusim::DeviceSpec&) const override {
-    gpusim::LaunchConfig cfg;
-    cfg.grid = map_.grid();
-    cfg.block = map_.block_dim;
-    cfg.smem_bytes = static_cast<std::size_t>(map_.block_dim) *
-                     (sizeof(index_t) + sizeof(value_t));
-    cfg.regs_per_thread = 30;
-    cfg.ilp = 1.0;
-    return cfg;
-  }
-
-  std::string name() const override { return "hybrid-simt(ragged)"; }
-
-  void run_block(gpusim::BlockCtx& blk) const override {
-    using namespace gpusim;
-    sparse::index_t ridx;
-    long long chunk;
-    map_.decode(blk.block_id(), ridx, chunk);
-    const long long n = map_.n;
-    // No per-lane folds for an address-only C (see SpmmCrcKernel).
-    const bool values = !p_->C.device().address_only();
-
-    auto sm_k = blk.smem_alloc<index_t>(static_cast<std::size_t>(map_.block_dim));
-    auto sm_v = blk.smem_alloc<value_t>(static_cast<std::size_t>(map_.block_dim));
-
-    for (int w = 0; w < blk.num_warps(); ++w) {
-      const long long j0 = map_.warp_col_base(chunk, w);
-      const LaneMask mask = map_.col_mask(j0);
-      if (mask == 0) continue;
-      WarpCtx warp = blk.warp(w);
-      const int sm_base = w * kWarpSize;
-      const int lanes_in_warp = active_lanes(mask);
-
-      // One extra broadcast vs plain CRC: the partition indirection.
-      const index_t i = warp.ld_broadcast(*perm_, dense_rows_ + ridx, mask);
-      const index_t lo = warp.ld_broadcast(p_->A.rowptr, i, mask);
-      const index_t hi = warp.ld_broadcast(p_->A.rowptr, i + 1, mask);
-
-      Lanes<value_t> acc = splat(Reduce::init());
-      for (index_t ptr = lo; ptr < hi; ptr += lanes_in_warp) {
-        const int tile = std::min<index_t>(lanes_in_warp, hi - ptr);
-        const LaneMask load_mask = first_lanes(tile);
-        const Lanes<index_t> kk = warp.ld_contig(p_->A.colind, ptr, load_mask);
-        const Lanes<value_t> vv = warp.ld_contig(p_->A.val, ptr, load_mask);
-        for (int l = 0; l < tile; ++l) {
-          sm_k[static_cast<std::size_t>(sm_base + l)] = kk[static_cast<std::size_t>(l)];
-          sm_v[static_cast<std::size_t>(sm_base + l)] = vv[static_cast<std::size_t>(l)];
-        }
-        warp.smem_store(static_cast<std::uint64_t>(tile) * sizeof(index_t));
-        warp.smem_store(static_cast<std::uint64_t>(tile) * sizeof(value_t));
-        warp.sync_warp();
-
-        for (int t = 0; t < tile; ++t) {
-          const index_t k = sm_k[static_cast<std::size_t>(sm_base + t)];
-          const value_t v = sm_v[static_cast<std::size_t>(sm_base + t)];
-          warp.smem_load(sizeof(index_t) + sizeof(value_t));
-          const Lanes<value_t> b =
-              warp.ld_contig(p_->B.device(), static_cast<std::int64_t>(k) * n + j0, mask);
-          if (values) fold_lanes<Reduce>(acc, v, b, mask);
-          warp.count_fma(static_cast<std::uint64_t>(active_lanes(mask)));
-          warp.count_inst(2);
-        }
-        warp.count_inst(2);
-      }
-      if (values) finalize_lanes<Reduce>(acc, hi - lo, mask);
-      warp.st_contig(p_->C.device(), static_cast<std::int64_t>(i) * n + j0, acc, mask);
-    }
-  }
-
- private:
-  SpmmProblem* p_;
-  const gpusim::DeviceArray<index_t>* perm_;
-  index_t dense_rows_;
-  RowBlockMapping map_;
-};
-
 /// Sum two launches: metrics add, every time term adds, and the slower
 /// launch's config/occupancy/bottleneck describe the composition.
 void compose_into(gpusim::LaunchResult& total, const gpusim::LaunchResult& r) {
@@ -351,7 +261,7 @@ void compose_into(gpusim::LaunchResult& total, const gpusim::LaunchResult& r) {
 HybridLaunchResult run_spmm_hybrid_detailed(SpmmProblem& p, const SpmmRunOptions& opt) {
   const gpusim::MmaTileSpec tile = gpusim::mma_tile_for(opt.device);
   const HybridPartition part =
-      partition_rows_by_density(p.A, static_cast<index_t>(tile.k));
+      partition_rows_by_density(p.A.rowptr.host(), static_cast<index_t>(tile.k));
   const gpusim::DeviceArray<index_t> perm{std::span<const index_t>(part.perm)};
 
   HybridLaunchResult out;
@@ -377,7 +287,7 @@ HybridLaunchResult run_spmm_hybrid_detailed(SpmmProblem& p, const SpmmRunOptions
   }
   if (part.ragged_rows() > 0) {
     const auto r = with_semiring(opt.reduce, [&]<typename R>() {
-      SpmmHybridRaggedKernel<R> k(p, perm, part.dense_rows, part.ragged_rows());
+      SpmmCrcKernel<R> k(p, perm, part.dense_rows, part.ragged_rows());
       return gpusim::launch(opt.device, k, opt.sample);
     });
     out.ragged_ms = r.time_ms();

@@ -47,7 +47,6 @@ struct HybridPartition {
 /// each partition. Deterministic.
 HybridPartition partition_rows_by_density(std::span<const index_t> rowptr,
                                           index_t threshold);
-HybridPartition partition_rows_by_density(const CsrDevice& a, index_t threshold);
 HybridPartition partition_rows_by_density(const sparse::Csr& a, index_t threshold);
 
 /// Cheap partition summary used as learned plan-selection features.
