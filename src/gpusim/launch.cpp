@@ -109,4 +109,31 @@ LaunchResult launch(const DeviceSpec& dev, const Kernel& kernel,
   return res;
 }
 
+LaunchResult compose(std::span<const LaunchResult> launches) {
+  if (launches.empty()) return {};
+  LaunchResult total = launches.front();
+  const LaunchResult* slowest = &launches.front();
+  for (const LaunchResult& r : launches.subspan(1)) {
+    total.metrics += r.metrics;
+    TimeBreakdown& t = total.time;
+    t.dram_ms += r.time.dram_ms;
+    t.l2_ms += r.time.l2_ms;
+    t.l1_ms += r.time.l1_ms;
+    t.smem_ms += r.time.smem_ms;
+    t.issue_ms += r.time.issue_ms;
+    t.mma_ms += r.time.mma_ms;
+    t.tail_ms += r.time.tail_ms;
+    t.launch_overhead_ms += r.time.launch_overhead_ms;
+    t.total_ms += r.time.total_ms;
+    if (r.time.total_ms > slowest->time.total_ms) slowest = &r;
+  }
+  total.config = slowest->config;
+  total.occupancy = slowest->occupancy;
+  total.achieved_occupancy = slowest->achieved_occupancy;
+  total.time.utilization = slowest->time.utilization;
+  total.time.concurrency = slowest->time.concurrency;
+  total.time.bottleneck = slowest->time.bottleneck;
+  return total;
+}
+
 }  // namespace gespmm::gpusim

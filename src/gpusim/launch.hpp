@@ -4,6 +4,7 @@
 /// a deterministic subset of blocks and extrapolating the metrics.
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "gpusim/cost_model.hpp"
@@ -54,6 +55,13 @@ struct LaunchResult {
 /// parallel with per-thread cache/metric state; results are deterministic.
 LaunchResult launch(const DeviceSpec& dev, const Kernel& kernel,
                     const SamplePolicy& policy = SamplePolicy::full());
+
+/// Launches that run one after another, as one result: the metrics and
+/// every time term are summed in launch order; the config, occupancy,
+/// achieved occupancy, utilization, concurrency and bottleneck are the
+/// slowest launch's (the first one's on ties), and the kernel name is the
+/// first launch's. No launches compose to a default LaunchResult.
+LaunchResult compose(std::span<const LaunchResult> launches);
 
 /// Validation mode: execute blocks *sequentially* against one L2 cache
 /// model sized to the device's full L2 (instead of the default per-block

@@ -67,25 +67,16 @@ void require_sum(const SpmmRunOptions& opt, const char* what) {
 }
 
 gpusim::LaunchResult run_spmv_loop(SpmmProblem& p, const SpmmRunOptions& opt) {
-  // One launch per output column; times and metrics accumulate.
-  gpusim::LaunchResult total;
-  const index_t n = p.n();
-  for (index_t j = 0; j < n; ++j) {
-    auto r = with_semiring(opt.reduce, [&]<typename R>() {
+  // One launch per output column, composed in column order.
+  std::vector<gpusim::LaunchResult> columns;
+  columns.reserve(static_cast<std::size_t>(p.n()));
+  for (index_t j = 0; j < p.n(); ++j) {
+    columns.push_back(with_semiring(opt.reduce, [&]<typename R>() {
       SpmvColumnKernel<R> k(p, j);
       return gpusim::launch(opt.device, k, opt.sample);
-    });
-    if (j == 0) {
-      total = r;
-    } else {
-      total.metrics += r.metrics;
-      total.time.total_ms += r.time.total_ms;
-      total.time.dram_ms += r.time.dram_ms;
-      total.time.l2_ms += r.time.l2_ms;
-      total.time.launch_overhead_ms += r.time.launch_overhead_ms;
-    }
+    }));
   }
-  return total;
+  return gpusim::compose(columns);
 }
 
 gpusim::LaunchResult run_gunrock(SpmmProblem& p, const SpmmRunOptions& opt) {

@@ -232,30 +232,6 @@ class SpmmHybridDenseKernel final : public gpusim::Kernel {
   int warps_ = 1;
 };
 
-/// Sum two launches: metrics add, every time term adds, and the slower
-/// launch's config/occupancy/bottleneck describe the composition.
-void compose_into(gpusim::LaunchResult& total, const gpusim::LaunchResult& r) {
-  const bool r_dominates = r.time.total_ms > total.time.total_ms;
-  total.metrics += r.metrics;
-  total.time.dram_ms += r.time.dram_ms;
-  total.time.l2_ms += r.time.l2_ms;
-  total.time.l1_ms += r.time.l1_ms;
-  total.time.smem_ms += r.time.smem_ms;
-  total.time.issue_ms += r.time.issue_ms;
-  total.time.mma_ms += r.time.mma_ms;
-  total.time.tail_ms += r.time.tail_ms;
-  total.time.launch_overhead_ms += r.time.launch_overhead_ms;
-  total.time.total_ms += r.time.total_ms;
-  if (r_dominates) {
-    total.time.bottleneck = r.time.bottleneck;
-    total.time.utilization = r.time.utilization;
-    total.time.concurrency = r.time.concurrency;
-    total.config = r.config;
-    total.occupancy = r.occupancy;
-    total.achieved_occupancy = r.achieved_occupancy;
-  }
-}
-
 }  // namespace
 
 HybridLaunchResult run_spmm_hybrid_detailed(SpmmProblem& p, const SpmmRunOptions& opt) {
@@ -267,32 +243,22 @@ HybridLaunchResult run_spmm_hybrid_detailed(SpmmProblem& p, const SpmmRunOptions
   HybridLaunchResult out;
   out.dense_rows = part.dense_rows;
   out.threshold = part.threshold;
-  bool have = false;
-  auto add = [&](const gpusim::LaunchResult& r) {
-    if (!have) {
-      out.total = r;
-      have = true;
-    } else {
-      compose_into(out.total, r);
-    }
-  };
-
+  std::vector<gpusim::LaunchResult> launches;
   if (part.dense_rows > 0) {
-    const auto r = with_semiring(opt.reduce, [&]<typename R>() {
+    launches.push_back(with_semiring(opt.reduce, [&]<typename R>() {
       SpmmHybridDenseKernel<R> k(p, perm, part.dense_rows, tile);
       return gpusim::launch(opt.device, k, opt.sample);
-    });
-    out.dense_ms = r.time_ms();
-    add(r);
+    }));
+    out.dense_ms = launches.back().time_ms();
   }
   if (part.ragged_rows() > 0) {
-    const auto r = with_semiring(opt.reduce, [&]<typename R>() {
+    launches.push_back(with_semiring(opt.reduce, [&]<typename R>() {
       SpmmCrcKernel<R> k(p, perm, part.dense_rows, part.ragged_rows());
       return gpusim::launch(opt.device, k, opt.sample);
-    });
-    out.ragged_ms = r.time_ms();
-    add(r);
+    }));
+    out.ragged_ms = launches.back().time_ms();
   }
+  out.total = gpusim::compose(launches);
   out.total.kernel_name = "hybrid(mma+simt)";
   return out;
 }

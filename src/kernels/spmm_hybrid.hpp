@@ -65,8 +65,8 @@ HybridPartitionStats hybrid_partition_stats(const sparse::Csr& a, index_t thresh
 /// Result of a hybrid run with per-partition modelled times exposed, so the
 /// plan layer can price each partition step separately.
 struct HybridLaunchResult {
-  /// Composed result: metrics summed, time fields summed, config/occupancy
-  /// of the dominant (slower) launch.
+  /// The two launches composed by gpusim::compose: metrics and time terms
+  /// summed, config/occupancy/bottleneck of the slower launch.
   gpusim::LaunchResult total;
   /// Modelled time of the dense-partition (MMA pipe) launch; 0 when the
   /// partition is empty and the launch was skipped.

@@ -14,6 +14,7 @@
 #include "kernels/registry.hpp"
 #include "kernels/spmm_hybrid.hpp"
 #include "kernels/spmm_problem.hpp"
+#include "kernels/spmm_spmv_loop.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/sampling.hpp"
 
@@ -193,6 +194,71 @@ TEST(CostModel, AchievedOccupancyDeratesUnfilledGrid) {
   const auto occ = compute_occupancy(dev, cfg);
   const double achieved = achieved_occupancy(dev, cfg, occ);
   EXPECT_LT(achieved, occ.fraction);
+}
+
+/// SpmvLoop runs one SpmvColumnKernel launch per output column. Every time
+/// term of its result is the sum of that term over the column launches, in
+/// column order, and so are the metrics.
+TEST(LaunchComposition, SpmvLoopSumsEveryTermOverItsColumns) {
+  const sparse::Csr a = sparse::rmat(7, 6.0, 0.57, 0.19, 0.19, 5);
+  const sparse::index_t n = 5;
+  for (const DeviceSpec& dev : {gtx1080ti(), rtx2080()}) {
+    SCOPED_TRACE(dev.name);
+    kernels::SpmmProblem p(a, n, kernels::Layout::RowMajor, address_only);
+    kernels::SpmmRunOptions opt;
+    opt.device = dev;
+    const LaunchResult loop = kernels::run_spmm(kernels::SpmmAlgo::SpmvLoop, p, opt);
+    TimeBreakdown sum;
+    LaunchMetrics metrics;
+    for (sparse::index_t j = 0; j < n; ++j) {
+      const kernels::SpmvColumnKernel<kernels::SumReduce> k(p, j);
+      const LaunchResult r = launch(dev, k);
+      metrics += r.metrics;
+      sum.dram_ms += r.time.dram_ms;
+      sum.l2_ms += r.time.l2_ms;
+      sum.l1_ms += r.time.l1_ms;
+      sum.smem_ms += r.time.smem_ms;
+      sum.issue_ms += r.time.issue_ms;
+      sum.mma_ms += r.time.mma_ms;
+      sum.tail_ms += r.time.tail_ms;
+      sum.launch_overhead_ms += r.time.launch_overhead_ms;
+      sum.total_ms += r.time.total_ms;
+    }
+    const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+    EXPECT_EQ(bits(loop.time.dram_ms), bits(sum.dram_ms));
+    EXPECT_EQ(bits(loop.time.l2_ms), bits(sum.l2_ms));
+    EXPECT_EQ(bits(loop.time.l1_ms), bits(sum.l1_ms));
+    EXPECT_EQ(bits(loop.time.smem_ms), bits(sum.smem_ms));
+    EXPECT_EQ(bits(loop.time.issue_ms), bits(sum.issue_ms));
+    EXPECT_EQ(bits(loop.time.mma_ms), bits(sum.mma_ms));
+    EXPECT_EQ(bits(loop.time.tail_ms), bits(sum.tail_ms));
+    EXPECT_EQ(bits(loop.time.launch_overhead_ms), bits(sum.launch_overhead_ms));
+    EXPECT_EQ(bits(loop.time.total_ms), bits(sum.total_ms));
+    EXPECT_EQ(loop.metrics.dram_transactions, metrics.dram_transactions);
+    EXPECT_EQ(loop.metrics.warp_instructions, metrics.warp_instructions);
+    EXPECT_GT(sum.issue_ms, 0.0);
+    EXPECT_GT(sum.tail_ms, 0.0);
+  }
+}
+
+TEST(LaunchComposition, ShapeComesFromTheSlowestLaunchFirstOnTies) {
+  EXPECT_EQ(compose({}).time.total_ms, 0.0);
+  std::vector<LaunchResult> launches(3);
+  const double totals[] = {1.0, 2.0, 2.0};
+  const char* bottlenecks[] = {"dram", "l2", "issue"};
+  for (std::size_t i = 0; i < launches.size(); ++i) {
+    launches[i].time.total_ms = totals[i];
+    launches[i].time.bottleneck = bottlenecks[i];
+    launches[i].config.grid = static_cast<long long>(i) + 1;
+    launches[i].metrics.warp_instructions = 10;
+    launches[i].kernel_name = "k" + std::to_string(i);
+  }
+  const LaunchResult c = compose(launches);
+  EXPECT_EQ(c.time.total_ms, 5.0);
+  EXPECT_EQ(c.metrics.warp_instructions, 30u);
+  EXPECT_STREQ(c.time.bottleneck, "l2");
+  EXPECT_EQ(c.config.grid, 2);
+  EXPECT_EQ(c.kernel_name, "k0");
 }
 
 /// Every LaunchMetrics counter and TimeBreakdown term as raw bits, so the
@@ -376,7 +442,7 @@ TEST(AddressOnlyPricing, BitwiseEqualToFullPayload) {
   // changed (an access, a count, their order or a cache state). A change
   // that does that re-records BENCH_baseline.json, says why, and only then
   // updates this constant.
-  EXPECT_EQ(digest.value(), 0x20747ad0e10dd51bull);
+  EXPECT_EQ(digest.value(), 0xce5d4018823b228full);
 }
 
 /// The pricing path the serving layer runs: `autotune_spmm` in Predict and
