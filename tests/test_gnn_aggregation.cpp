@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <stdexcept>
 
+#include "core/gespmm.hpp"
 #include "gnn/aggregation.hpp"
 #include "gnn/autograd.hpp"
 #include "gnn/train.hpp"
@@ -221,6 +224,43 @@ TEST(AggregationTiming, TransposedOperandPricedSeparately) {
   EXPECT_GT(bwd, 0.0);
   // Same nnz either way: times must be within 3x of each other.
   EXPECT_LT(std::max(fwd, bwd) / std::min(fwd, bwd), 3.0);
+}
+
+TEST(AggregationTiming, TimeCacheTellsGraphsWithEqualSampledEntriesApart) {
+  // Two 4000 x 32000 graphs with 8 nonzeros per row on average and
+  // colind[p] = p. They agree on rows, cols, nnz, colind and every 7th
+  // rowptr entry; b piles each 7-row segment's nonzeros into its first row.
+  const index_t rows = 4000;
+  const index_t per_row = 8;
+  sparse::Csr a(rows, rows * per_row);
+  for (index_t p = 0; p < rows * per_row; ++p) {
+    a.colind.push_back(p);
+    a.val.push_back(1.0f);
+  }
+  sparse::Csr b = a;
+  for (index_t i = 0; i <= rows; ++i) {
+    a.rowptr[static_cast<std::size_t>(i)] = per_row * i;
+    const index_t segment = i / 7 * 7;
+    b.rowptr[static_cast<std::size_t>(i)] =
+        i == segment ? per_row * i : per_row * std::min(segment + 7, rows);
+  }
+  a.validate();
+  b.validate();
+  ASSERT_NE(a, b);
+
+  const gpusim::DeviceSpec dev = gpusim::gtx1080ti();
+  ProfileOptions opt;
+  opt.device = dev;
+  opt.sample = gpusim::SamplePolicy::sampled(1024);
+  for (const sparse::Csr* g : {&a, &b}) {
+    gpusim::reset_device_address_space();
+    const double cached = GnnGraph(*g, dev).aggregation_time_ms(
+        AggregatorBackend::GeSpMM, ReduceKind::Sum, 64, false);
+    gpusim::reset_device_address_space();
+    const double priced = profile_spmm_shape(*g, 64, opt).time_ms();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(cached), std::bit_cast<std::uint64_t>(priced))
+        << (g == &a ? "graph a" : "graph b");
+  }
 }
 
 TEST(SyntheticData, LabelsAndFeaturesAreDeterministicAndInRange) {
