@@ -3,7 +3,9 @@
 /// Density-partitioned hybrid SpMM (HC-SpMM-style): rows with at least
 /// `threshold` nonzeros are routed to the tensor-core (MMA) pipeline, the
 /// remaining ragged rows to the CUDA-core (SIMT) pipeline, as two launches
-/// over a row permutation that groups each partition contiguously.
+/// over a row permutation that groups each partition contiguously. The
+/// ragged launch is CRC (SpmmCrcKernel, spmm_crc.hpp) over the
+/// permutation's ragged slice.
 ///
 /// The threshold is the MMA tile K-dim (gpusim::MmaTileSpec::k): a row with
 /// >= k nonzeros fills at least one A-fragment row slice, so the dense pipe

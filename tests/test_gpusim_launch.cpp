@@ -439,9 +439,10 @@ TEST(AddressOnlyPricing, BitwiseEqualToFullPayload) {
   EXPECT_TRUE(saw_mma_rows);
   // The simulated event stream, pinned: every counter, time term and
   // bottleneck above, in order. A changed value means the event stream
-  // changed (an access, a count, their order or a cache state). A change
-  // that does that re-records BENCH_baseline.json, says why, and only then
-  // updates this constant.
+  // changed (an access, a count, their order or a cache state) or the way
+  // a multi-launch result composes them. A change that does that
+  // re-records BENCH_baseline.json where its rows move, says why, and only
+  // then updates this constant.
   EXPECT_EQ(digest.value(), 0xce5d4018823b228full);
 }
 
