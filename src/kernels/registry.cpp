@@ -8,10 +8,8 @@
 #include "kernels/spmm_dgl_fallback.hpp"
 #include "kernels/spmm_gunrock.hpp"
 #include "kernels/spmm_hybrid.hpp"
-#include "kernels/spmm_mergesplit.hpp"
 #include "kernels/spmm_naive.hpp"
 #include "kernels/spmm_rowsplit.hpp"
-#include "kernels/spmm_spmv_loop.hpp"
 
 namespace gespmm::kernels {
 
@@ -26,9 +24,7 @@ const char* algo_name(SpmmAlgo a) {
     case SpmmAlgo::CrcCwm8: return "crc+cwm(cf=8)";
     case SpmmAlgo::GeSpMM: return "ge-spmm";
     case SpmmAlgo::RowSplitGB: return "rowsplit(graphblast)";
-    case SpmmAlgo::MergeSplitGB: return "mergesplit(graphblast)";
     case SpmmAlgo::Csrmm2: return "csrmm2(cusparse)";
-    case SpmmAlgo::SpmvLoop: return "spmv-loop";
     case SpmmAlgo::Gunrock: return "advance(gunrock)";
     case SpmmAlgo::DglFallback: return "dgl-fallback";
     case SpmmAlgo::Aspt: return "aspt";
@@ -64,19 +60,6 @@ void require_sum(const SpmmRunOptions& opt, const char* what) {
     throw std::invalid_argument(std::string(what) +
                                 " supports only the standard sum reduction");
   }
-}
-
-gpusim::LaunchResult run_spmv_loop(SpmmProblem& p, const SpmmRunOptions& opt) {
-  // One launch per output column, composed in column order.
-  std::vector<gpusim::LaunchResult> columns;
-  columns.reserve(static_cast<std::size_t>(p.n()));
-  for (index_t j = 0; j < p.n(); ++j) {
-    columns.push_back(with_semiring(opt.reduce, [&]<typename R>() {
-      SpmvColumnKernel<R> k(p, j);
-      return gpusim::launch(opt.device, k, opt.sample);
-    }));
-  }
-  return gpusim::compose(columns);
 }
 
 gpusim::LaunchResult run_gunrock(SpmmProblem& p, const SpmmRunOptions& opt) {
@@ -122,14 +105,6 @@ gpusim::LaunchResult run_spmm(SpmmAlgo algo, SpmmProblem& p, const SpmmRunOption
     case SpmmAlgo::CrcCwm8: return run_crc<8>(p, opt);
     case SpmmAlgo::GeSpMM: return run_spmm(select_gespmm_algo(p.n()), p, opt);
     case SpmmAlgo::RowSplitGB: return run_semiring_kernel<SpmmRowSplitGBKernel>(p, opt);
-    case SpmmAlgo::MergeSplitGB: {
-      require_sum(opt, "mergesplit");
-      // Rows spanning chunk boundaries combine atomically, so the output
-      // starts zeroed (GraphBLAST runs the same init pass).
-      p.C.fill(0.0f);
-      SpmmMergeSplitKernel k(p);
-      return gpusim::launch(opt.device, k, opt.sample);
-    }
     case SpmmAlgo::Csrmm2: {
       require_sum(opt, "csrmm2");
       if (p.C.layout() != Layout::ColMajor) {
@@ -139,7 +114,6 @@ gpusim::LaunchResult run_spmm(SpmmAlgo algo, SpmmProblem& p, const SpmmRunOption
       SpmmCsrmm2Kernel k(p);
       return gpusim::launch(opt.device, k, opt.sample);
     }
-    case SpmmAlgo::SpmvLoop: return run_spmv_loop(p, opt);
     case SpmmAlgo::Gunrock: return run_gunrock(p, opt);
     case SpmmAlgo::DglFallback: return run_semiring_kernel<SpmmDglFallbackKernel>(p, opt);
     case SpmmAlgo::Aspt:

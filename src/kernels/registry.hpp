@@ -22,10 +22,8 @@ enum class SpmmAlgo {
   CrcCwm4,     ///< Algorithm 3, CF=4
   CrcCwm8,     ///< Algorithm 3, CF=8
   GeSpMM,      ///< Adaptive: CRC for N<=32, CRC+CWM(CF=2) otherwise (Fig. 7)
-  RowSplitGB,  ///< GraphBLAST rowsplit
-  MergeSplitGB,///< GraphBLAST merge-based split (nnz-balanced, sum only)
+  RowSplitGB,  ///< GraphBLAST rowsplit (the GraphBLAST baseline, Fig. 11)
   Csrmm2,      ///< cuSPARSE csrmm2 proxy (column-major C, sum only)
-  SpmvLoop,    ///< warp-per-row SpMV executed once per column
   Gunrock,     ///< graph-engine advance (edge-parallel, sum only)
   DglFallback, ///< DGL's scalar SpMM-like fallback kernel
   Aspt,        ///< ASpT tiled kernel (sum only; preprocess charged separately)

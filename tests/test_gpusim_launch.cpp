@@ -14,7 +14,6 @@
 #include "kernels/registry.hpp"
 #include "kernels/spmm_hybrid.hpp"
 #include "kernels/spmm_problem.hpp"
-#include "kernels/spmm_spmv_loop.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/sampling.hpp"
 
@@ -196,51 +195,6 @@ TEST(CostModel, AchievedOccupancyDeratesUnfilledGrid) {
   EXPECT_LT(achieved, occ.fraction);
 }
 
-/// SpmvLoop runs one SpmvColumnKernel launch per output column. Every time
-/// term of its result is the sum of that term over the column launches, in
-/// column order, and so are the metrics.
-TEST(LaunchComposition, SpmvLoopSumsEveryTermOverItsColumns) {
-  const sparse::Csr a = sparse::rmat(7, 6.0, 0.57, 0.19, 0.19, 5);
-  const sparse::index_t n = 5;
-  for (const DeviceSpec& dev : {gtx1080ti(), rtx2080()}) {
-    SCOPED_TRACE(dev.name);
-    kernels::SpmmProblem p(a, n, kernels::Layout::RowMajor, address_only);
-    kernels::SpmmRunOptions opt;
-    opt.device = dev;
-    const LaunchResult loop = kernels::run_spmm(kernels::SpmmAlgo::SpmvLoop, p, opt);
-    TimeBreakdown sum;
-    LaunchMetrics metrics;
-    for (sparse::index_t j = 0; j < n; ++j) {
-      const kernels::SpmvColumnKernel<kernels::SumReduce> k(p, j);
-      const LaunchResult r = launch(dev, k);
-      metrics += r.metrics;
-      sum.dram_ms += r.time.dram_ms;
-      sum.l2_ms += r.time.l2_ms;
-      sum.l1_ms += r.time.l1_ms;
-      sum.smem_ms += r.time.smem_ms;
-      sum.issue_ms += r.time.issue_ms;
-      sum.mma_ms += r.time.mma_ms;
-      sum.tail_ms += r.time.tail_ms;
-      sum.launch_overhead_ms += r.time.launch_overhead_ms;
-      sum.total_ms += r.time.total_ms;
-    }
-    const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
-    EXPECT_EQ(bits(loop.time.dram_ms), bits(sum.dram_ms));
-    EXPECT_EQ(bits(loop.time.l2_ms), bits(sum.l2_ms));
-    EXPECT_EQ(bits(loop.time.l1_ms), bits(sum.l1_ms));
-    EXPECT_EQ(bits(loop.time.smem_ms), bits(sum.smem_ms));
-    EXPECT_EQ(bits(loop.time.issue_ms), bits(sum.issue_ms));
-    EXPECT_EQ(bits(loop.time.mma_ms), bits(sum.mma_ms));
-    EXPECT_EQ(bits(loop.time.tail_ms), bits(sum.tail_ms));
-    EXPECT_EQ(bits(loop.time.launch_overhead_ms), bits(sum.launch_overhead_ms));
-    EXPECT_EQ(bits(loop.time.total_ms), bits(sum.total_ms));
-    EXPECT_EQ(loop.metrics.dram_transactions, metrics.dram_transactions);
-    EXPECT_EQ(loop.metrics.warp_instructions, metrics.warp_instructions);
-    EXPECT_GT(sum.issue_ms, 0.0);
-    EXPECT_GT(sum.tail_ms, 0.0);
-  }
-}
-
 TEST(LaunchComposition, ShapeComesFromTheSlowestLaunchFirstOnTies) {
   EXPECT_EQ(compose({}).time.total_ms, 0.0);
   std::vector<LaunchResult> launches(3);
@@ -351,10 +305,9 @@ TEST(AddressOnlyPricing, BitwiseEqualToFullPayload) {
   using sparse::Csr;
   using sparse::index_t;
   const std::vector<Csr> matrices = pricing_matrices();
-  const SpmmAlgo semiring_algos[] = {SpmmAlgo::Naive,      SpmmAlgo::Crc,
-                                     SpmmAlgo::CrcCwm2,    SpmmAlgo::CrcCwm4,
-                                     SpmmAlgo::CrcCwm8,    SpmmAlgo::RowSplitGB,
-                                     SpmmAlgo::DglFallback};
+  const SpmmAlgo semiring_algos[] = {
+      SpmmAlgo::Naive,   SpmmAlgo::Crc,        SpmmAlgo::CrcCwm2,    SpmmAlgo::CrcCwm4,
+      SpmmAlgo::CrcCwm8, SpmmAlgo::RowSplitGB, SpmmAlgo::DglFallback};
   const SpmmAlgo sum_only_algos[] = {SpmmAlgo::Csrmm2, SpmmAlgo::Gunrock};
   bool saw_empty_row = false;
   bool saw_mma_rows = false;

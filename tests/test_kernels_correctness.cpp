@@ -67,10 +67,10 @@ std::vector<Case> make_cases() {
   const std::vector<sparse::index_t> ns = {1, 8, 16, 32, 33, 64, 128};
   // Every kernel on sum; every GE kernel additionally on max / mean / min.
   const std::vector<SpmmAlgo> sum_algos = {
-      SpmmAlgo::Naive,      SpmmAlgo::Crc,          SpmmAlgo::CrcCwm2,
-      SpmmAlgo::CrcCwm4,    SpmmAlgo::CrcCwm8,      SpmmAlgo::GeSpMM,
-      SpmmAlgo::RowSplitGB, SpmmAlgo::MergeSplitGB, SpmmAlgo::Csrmm2,
-      SpmmAlgo::SpmvLoop,   SpmmAlgo::Gunrock,      SpmmAlgo::DglFallback};
+      SpmmAlgo::Naive,      SpmmAlgo::Crc,     SpmmAlgo::CrcCwm2,
+      SpmmAlgo::CrcCwm4,    SpmmAlgo::CrcCwm8, SpmmAlgo::GeSpMM,
+      SpmmAlgo::RowSplitGB, SpmmAlgo::Csrmm2,  SpmmAlgo::Gunrock,
+      SpmmAlgo::DglFallback};
   for (const auto& m : matrices) {
     for (auto n : ns) {
       for (auto algo : sum_algos) {

@@ -1,12 +1,11 @@
 /// Load-balance properties of the kernel families on skewed (power-law)
-/// matrices: merge-split's nnz-balanced mapping vs row-per-warp layouts,
-/// and the behaviour of GE-SpMM's block-per-row mapping under skew.
+/// matrices: GE-SpMM's block-per-row mapping tracks nnz rather than degree
+/// skew, and every row mapping accounts for every nonzero exactly once.
 
 #include <gtest/gtest.h>
 
 #include "kernels/registry.hpp"
 #include "sparse/generators.hpp"
-#include "test_util.hpp"
 
 namespace gespmm {
 namespace {
@@ -27,49 +26,6 @@ double time_of(const Csr& a, sparse::index_t n, SpmmAlgo algo,
   return kernels::run_spmm(algo, p, o).time_ms();
 }
 
-TEST(LoadBalance, MergeSplitBeatsRowSplitOnHubMatrix) {
-  // Extreme hub: one row holds ~30K nonzeros while the rest are sparse.
-  // Row-per-warp (rowsplit) serializes the hub into one warp's dependent
-  // load chain (the cost model's tail term); nnz-balanced merge-split
-  // spreads it over ~hub/256 chunks.
-  const Csr base = sparse::uniform_random(32768, 32768, 100000, 42);
-  std::vector<sparse::index_t> r, c;
-  std::vector<sparse::value_t> v;
-  for (sparse::index_t i = 0; i < base.rows; ++i) {
-    for (sparse::index_t p = base.rowptr[static_cast<std::size_t>(i)];
-         p < base.rowptr[static_cast<std::size_t>(i) + 1]; ++p) {
-      r.push_back(i);
-      c.push_back(base.colind[static_cast<std::size_t>(p)]);
-      v.push_back(base.val[static_cast<std::size_t>(p)]);
-    }
-  }
-  for (sparse::index_t j = 0; j < 30000; ++j) {
-    r.push_back(77);
-    c.push_back(j);
-    v.push_back(0.5f);
-  }
-  const Csr hub = sparse::csr_from_triplets(base.rows, base.cols, r, c, v);
-  const auto stats = sparse::degree_stats(hub);
-  ASSERT_GT(stats.max, 1000 * stats.mean) << "test requires an extreme hub";
-
-  const auto dev = gpusim::gtx1080ti();
-  const double rowsplit = time_of(hub, 128, SpmmAlgo::RowSplitGB, dev);
-  const double mergesplit = time_of(hub, 128, SpmmAlgo::MergeSplitGB, dev);
-  EXPECT_LT(mergesplit, rowsplit)
-      << "nnz-balanced mapping must win under extreme row-length skew";
-}
-
-TEST(LoadBalance, MergeSplitPaysAtomicsOnUniformMatrices) {
-  // On uniform matrices row splitting is already balanced; merge-split's
-  // boundary atomics and carry chains make it the slower choice.
-  const Csr uniform = sparse::uniform_random(16384, 16384, 163840, 43);
-  const auto dev = gpusim::gtx1080ti();
-  const double rowsplit = time_of(uniform, 128, SpmmAlgo::RowSplitGB, dev);
-  const double mergesplit = time_of(uniform, 128, SpmmAlgo::MergeSplitGB, dev);
-  EXPECT_LT(rowsplit, mergesplit * 1.6)
-      << "rowsplit should be at least competitive on uniform degree";
-}
-
 TEST(LoadBalance, GeSpmmRobustAcrossSkewLevels) {
   // GE-SpMM assigns blocks per row but the within-row tile loop adapts to
   // the length, so its time should track nnz rather than max row length.
@@ -86,35 +42,15 @@ TEST(LoadBalance, GeSpmmRobustAcrossSkewLevels) {
   EXPECT_GT(time_ratio / nnz_ratio, 0.4);
 }
 
-TEST(LoadBalance, MergeSplitCorrectOnPathologicalShapes) {
-  // One gigantic row followed by thousands of empty ones — the worst case
-  // for row-based mappings and the atomics-heavy case for merge-split.
-  std::vector<sparse::index_t> r, c;
-  std::vector<sparse::value_t> v;
-  for (sparse::index_t j = 0; j < 3000; ++j) {
-    r.push_back(0);
-    c.push_back(j);
-    v.push_back(0.001f * static_cast<float>(j + 1));
-  }
-  const Csr pathological = sparse::csr_from_triplets(2048, 3000, r, c, v);
-  SpmmProblem p(pathological, 40);
-  kernels::fill_random(p.B, 46);
-  kernels::run_spmm(SpmmAlgo::MergeSplitGB, p, SpmmRunOptions{});
-  testutil::expect_matches_reference(pathological, p.B, p.C,
-                                     kernels::ReduceKind::Sum);
-}
-
-TEST(LoadBalance, MergeSplitChunkAccountingCoversAllNnz) {
+TEST(LoadBalance, FlopAccountingCoversAllNnz) {
   // Metrics sanity: FLOP count must equal 2 * nnz * N for every mapping.
   const Csr a = sparse::rmat(10, 6.0, 0.55, 0.2, 0.2, 47);
-  for (auto algo : {SpmmAlgo::RowSplitGB, SpmmAlgo::MergeSplitGB, SpmmAlgo::GeSpMM}) {
+  for (auto algo : {SpmmAlgo::RowSplitGB, SpmmAlgo::GeSpMM}) {
     SpmmProblem p(a, 64);
     SpmmRunOptions o;  // full simulation
     const auto res = kernels::run_spmm(algo, p, o);
     const auto expected = 2ull * static_cast<std::uint64_t>(a.nnz()) * 64ull;
-    // Atomic flushes add a few extra FLOPs at chunk boundaries; allow 5%.
-    EXPECT_GE(res.metrics.flops, expected) << kernels::algo_name(algo);
-    EXPECT_LE(res.metrics.flops, expected + expected / 20) << kernels::algo_name(algo);
+    EXPECT_EQ(res.metrics.flops, expected) << kernels::algo_name(algo);
   }
 }
 

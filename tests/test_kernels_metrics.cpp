@@ -151,14 +151,6 @@ TEST_F(MetricsFixture, GunrockIsAnOrderOfMagnitudeSlower) {
   EXPECT_GT(gr / ge, 6.0);
 }
 
-TEST_F(MetricsFixture, SpmvLoopPaysNLaunchesAndUncoalescedGathers) {
-  const auto cit = sparse::cora();
-  const auto spmv = run(cit.adj, 64, SpmmAlgo::SpmvLoop, gpusim::gtx1080ti());
-  const auto ge = run(cit.adj, 64, SpmmAlgo::GeSpMM, gpusim::gtx1080ti());
-  EXPECT_GT(spmv.time_ms(), 3.0 * ge.time_ms());
-  EXPECT_LT(spmv.metrics.gld_efficiency(), ge.metrics.gld_efficiency());
-}
-
 TEST_F(MetricsFixture, DglFallbackLosesToGeSpmmLike) {
   // Section V-F2: GE-SpMM's SpMM-like is 2.39x-6.15x faster than DGL's
   // fallback kernel.

@@ -66,8 +66,7 @@ TEST_P(ProfileConsistency, FlopsMatchNominalCount) {
 INSTANTIATE_TEST_SUITE_P(
     Kernels, ProfileConsistency,
     ::testing::Values(SpmmAlgo::Naive, SpmmAlgo::Crc, SpmmAlgo::CrcCwm2,
-                      SpmmAlgo::CrcCwm4, SpmmAlgo::RowSplitGB,
-                      SpmmAlgo::MergeSplitGB, SpmmAlgo::Csrmm2,
+                      SpmmAlgo::CrcCwm4, SpmmAlgo::RowSplitGB, SpmmAlgo::Csrmm2,
                       SpmmAlgo::DglFallback),
     [](const auto& info) {
       std::string s = kernels::algo_name(info.param);
