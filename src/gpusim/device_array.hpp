@@ -5,10 +5,21 @@
 /// Simulated kernels access these through WarpCtx::ld/st, which both moves
 /// real values (so computation is genuine) and feeds the coalescer with the
 /// buffer's *virtual device addresses* (so transaction counts are genuine
-/// too). Virtual addresses come from a global bump allocator with 256-byte
+/// too). Virtual addresses come from a bump allocator with 256-byte
 /// alignment — like cudaMalloc — which makes coalescing and cache-conflict
 /// behaviour bit-identical across runs (real heap addresses would wobble
 /// with ASLR and allocation history).
+///
+/// Each thread has its own address space. A simulated run's layout is then
+/// set by the allocations its own thread made, in order, and never by what
+/// other threads allocate meanwhile: the serving engine builds and prices
+/// a cold plan's problem on a worker while clients and other workers
+/// allocate operands and outputs, and one shared counter would let those
+/// allocations shift B and C against A between two of the problem's
+/// reservations, changing which accesses conflict in the simulated caches.
+/// Every operand of a simulated launch is reserved on the thread that
+/// builds the problem, so addresses from different threads never meet in
+/// one launch.
 ///
 /// Two tagged constructors skip work a caller does not need:
 ///  - `AddressOnly` reserves exactly the range an n-element buffer would
@@ -25,7 +36,6 @@
 ///    element the caller fails to write shows up in bitwise tests.
 /// Every other constructor, and `resize` growth, zero-fills as before.
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -40,24 +50,28 @@ namespace gespmm::gpusim {
 
 namespace detail {
 inline constexpr std::uint64_t kArenaBase = 0x1000'0000ull;
-inline std::atomic<std::uint64_t>& device_arena() {
-  static std::atomic<std::uint64_t> next{kArenaBase};
+/// The calling thread's next free virtual device address.
+inline std::uint64_t& device_arena() {
+  thread_local std::uint64_t next = kArenaBase;
   return next;
 }
 }  // namespace detail
 
-/// Reserve a 256-byte-aligned virtual device range of `bytes` bytes.
+/// Reserve a 256-byte-aligned virtual device range of `bytes` bytes in the
+/// calling thread's address space.
 inline std::uint64_t allocate_device_address(std::size_t bytes) {
   const std::uint64_t len = (static_cast<std::uint64_t>(bytes) + 255u) & ~255ull;
-  return detail::device_arena().fetch_add(len + 256u);
+  std::uint64_t& next = detail::device_arena();
+  const std::uint64_t base = next;
+  next += len + 256u;
+  return base;
 }
 
-/// Reset the virtual address space. Only safe when no simulated launch is
-/// in flight; used by tests/benches that need identical addresses across
-/// repeated in-process experiments.
-inline void reset_device_address_space() {
-  detail::device_arena().store(detail::kArenaBase);
-}
+/// Reset the calling thread's virtual address space. Only safe when no
+/// simulated launch on this thread's arrays is in flight; used by
+/// tests/benches that need identical addresses across repeated in-process
+/// experiments.
+inline void reset_device_address_space() { detail::device_arena() = detail::kArenaBase; }
 
 /// Tag: reserve an array's device range without host storage.
 struct AddressOnly {

@@ -7,6 +7,7 @@
 #include <bit>
 #include <cstdint>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "core/autotune.hpp"
@@ -397,6 +398,32 @@ TEST(AddressOnlyPricing, BitwiseEqualToFullPayload) {
   // re-records BENCH_baseline.json where its rows move, says why, and only
   // then updates this constant.
   EXPECT_EQ(digest.value(), 0x9a570361f0b2af5bull);
+}
+
+/// A pricing run on one thread reports the same events whatever another
+/// thread allocates while it builds its problem: the serving engine prices
+/// cold plans on its workers while clients and other workers allocate
+/// operands. The other thread's buffer lands between A and B, the window
+/// in which a process-wide address space would shift B and C against A.
+TEST(AddressOnlyPricing, OtherThreadsAllocationsDoNotMoveARun) {
+  const sparse::Csr a = sparse::pruned_dnn(96, 96, 16, 0.8, 7);
+  const sparse::index_t n = 100;
+  kernels::SpmmRunOptions opt;
+  opt.device = rtx2080();
+  const auto run = [&](bool other_thread_allocates) {
+    reset_device_address_space();
+    kernels::SpmmProblem p;
+    p.A = kernels::CsrDevice(a);
+    if (other_thread_allocates) {
+      std::thread([] { const kernels::DenseMatrix other(64, 64); }).join();
+    }
+    p.B = kernels::DenseMatrix(a.cols, n, kernels::Layout::RowMajor, address_only);
+    p.C = kernels::DenseMatrix(a.rows, n, kernels::Layout::RowMajor, address_only);
+    return kernels::run_spmm(kernels::SpmmAlgo::CrcCwm2, p, opt);
+  };
+  const LaunchResult alone = run(false);
+  const LaunchResult interleaved = run(true);
+  expect_bitwise_equal(alone, interleaved);
 }
 
 /// The pricing path the serving layer runs: `autotune_spmm` in Predict and
