@@ -4,15 +4,6 @@
 
 namespace gespmm::gnn {
 
-const char* model_kind_name(ModelKind k) {
-  switch (k) {
-    case ModelKind::Gcn: return "GCN";
-    case ModelKind::SageGcn: return "GraphSAGE-GCN";
-    case ModelKind::SagePool: return "GraphSAGE-pool";
-  }
-  return "?";
-}
-
 Model::Model(Engine& eng, const GnnGraph& graph, const ModelConfig& cfg)
     : eng_(&eng), graph_(&graph), cfg_(cfg) {
   if (cfg.in_feats <= 0 || cfg.num_classes <= 0) {

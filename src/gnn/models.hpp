@@ -20,8 +20,6 @@ namespace gespmm::gnn {
 
 enum class ModelKind { Gcn, SageGcn, SagePool };
 
-const char* model_kind_name(ModelKind k);
-
 struct ModelConfig {
   ModelKind kind = ModelKind::Gcn;
   int num_layers = 2;        ///< number of hidden graph layers ("x" in the paper)

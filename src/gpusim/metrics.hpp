@@ -97,9 +97,6 @@ struct LaunchMetrics {
   std::uint64_t gld_bytes(int transaction_bytes = 32) const {
     return gld_transactions * static_cast<std::uint64_t>(transaction_bytes);
   }
-  std::uint64_t gst_bytes(int transaction_bytes = 32) const {
-    return gst_transactions * static_cast<std::uint64_t>(transaction_bytes);
-  }
   /// nvprof gld_efficiency in [0, 1].
   double gld_efficiency(int transaction_bytes = 32) const {
     const auto moved = gld_bytes(transaction_bytes);

@@ -36,25 +36,12 @@ constexpr int active_lanes(LaneMask m) { return std::popcount(m); }
 /// True if lane `l` is active in `m`.
 constexpr bool lane_active(LaneMask m, int l) { return (m >> l) & 1u; }
 
-/// Build a Lanes<T> where lane l holds f(l).
-template <typename T, typename F>
-Lanes<T> make_lanes(F&& f) {
-  Lanes<T> v{};
-  for (int l = 0; l < kWarpSize; ++l) v[static_cast<size_t>(l)] = f(l);
-  return v;
-}
-
 /// Broadcast a scalar to all lanes.
 template <typename T>
 Lanes<T> splat(T x) {
   Lanes<T> v{};
   v.fill(x);
   return v;
-}
-
-/// Lane indices 0..31 plus an offset.
-inline Lanes<std::int64_t> iota_lanes(std::int64_t base = 0) {
-  return make_lanes<std::int64_t>([&](int l) { return base + l; });
 }
 
 }  // namespace gespmm::gpusim

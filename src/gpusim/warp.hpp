@@ -171,24 +171,6 @@ class WarpCtx {
     }
   }
 
-  template <typename T>
-  void st_gather(DeviceArray<T>& a, const Lanes<std::int64_t>& idx, const Lanes<T>& v,
-                 LaneMask mask) {
-    note_store_inst();
-    const bool values = !a.address_only();
-    Lanes<std::uint64_t> addrs{};
-    for (int l = 0; l < kWarpSize; ++l) {
-      if (!lane_active(mask, l)) continue;
-      const auto i = idx[static_cast<std::size_t>(l)];
-      assert(i >= 0 && static_cast<std::size_t>(i) < a.size());
-      addrs[static_cast<std::size_t>(l)] =
-          a.base_addr() + static_cast<std::uint64_t>(i) * sizeof(T);
-      if (values) a[static_cast<std::size_t>(i)] = v[static_cast<std::size_t>(l)];
-    }
-    const auto r = coalesce_gather(addrs, sizeof(T), mask);
-    commit_store(r);
-  }
-
   /// Commit a pre-computed coalescing result through the store path. Used
   /// by kernels that stage stores through shared memory (the burst pattern
   /// is known) while moving the real values separately: csrmm2's transposed

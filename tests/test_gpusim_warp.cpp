@@ -101,24 +101,6 @@ TEST_F(WarpFixture, StoreWritesThroughAndCountsDram) {
   EXPECT_GE(r.metrics.dram_transactions, 4u);  // write-through
 }
 
-TEST_F(WarpFixture, ScatterStoreWithMask) {
-  const auto r = run_warp(gtx1080ti(), [&](BlockCtx& blk) {
-    WarpCtx w = blk.warp(0);
-    Lanes<std::int64_t> indices{};
-    Lanes<float> vals{};
-    for (int l = 0; l < kWarpSize; ++l) {
-      indices[static_cast<std::size_t>(l)] = l * 8;
-      vals[static_cast<std::size_t>(l)] = static_cast<float>(l);
-    }
-    w.st_gather(out, indices, vals, first_lanes(5));
-  });
-  EXPECT_FLOAT_EQ(out[0], 0.0f);
-  EXPECT_FLOAT_EQ(out[8], 1.0f);
-  EXPECT_FLOAT_EQ(out[32], 4.0f);
-  EXPECT_FLOAT_EQ(out[40], 0.0f);  // lane 5 masked off
-  EXPECT_EQ(r.metrics.gst_useful_bytes, 5u * 4);
-}
-
 TEST_F(WarpFixture, AtomicAddAccumulatesAndCountsConflicts) {
   const auto r = run_warp(gtx1080ti(), [&](BlockCtx& blk) {
     WarpCtx w = blk.warp(0);
@@ -236,7 +218,6 @@ TEST_F(WarpFixture, AddressOnlyArrayCountsTheSameAndMovesNoValues) {
       const float b = w.ld_broadcast(a, 100, kFullMask);
       const auto g = w.ld_gather(a, indices, kFullMask);
       w.st_contig(a, 0, splat(3.5f), kFullMask);
-      w.st_gather(a, indices, splat(1.5f), first_lanes(5));
       w.atomic_add_gather(a, indices, splat(1.0f), kFullMask);
       if (zeros) {
         EXPECT_EQ(b, 0.0f);
