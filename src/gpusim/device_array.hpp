@@ -10,16 +10,14 @@
 /// behaviour bit-identical across runs (real heap addresses would wobble
 /// with ASLR and allocation history).
 ///
-/// Each thread has its own address space. A simulated run's layout is then
-/// set by the allocations its own thread made, in order, and never by what
-/// other threads allocate meanwhile: the serving engine builds and prices
-/// a cold plan's problem on a worker while clients and other workers
-/// allocate operands and outputs, and one shared counter would let those
-/// allocations shift B and C against A between two of the problem's
-/// reservations, changing which accesses conflict in the simulated caches.
-/// Every operand of a simulated launch is reserved on the thread that
-/// builds the problem, so addresses from different threads never meet in
-/// one launch.
+/// Each thread has its own address space, so a simulated run's layout is
+/// set only by the allocations its own thread made, in order. The serving
+/// engine prices cold plans on its workers while clients and other workers
+/// allocate; with one shared counter their allocations could land between
+/// a problem's reservations, shift B and C against A, and change which
+/// accesses conflict in the simulated caches. Ranges reserved on different
+/// threads may overlap, so every array one launch touches is reserved on
+/// one thread (the one that builds its problem).
 ///
 /// Two tagged constructors skip work a caller does not need:
 ///  - `AddressOnly` reserves exactly the range an n-element buffer would
